@@ -26,17 +26,12 @@ from .selection import (
     lower_certificate_constant,
     riesz_floor_constant,
     rit_select,
+    safe_ceil,
     upper_select,
 )
 from .spectrum import GridSpectrum, IntervalSet, complement, measure, quantize_inner
 
 KINDS = ("sampling", "bessel", "riesz")
-
-# Ceiling with a tiny backoff so float dust in (1+d)*n cannot bump an exact
-# integer boundary to the next step count.
-def _safe_ceil(x: float) -> int:
-    return math.ceil(x - 1e-9)
-
 
 @dataclass(frozen=True)
 class SamplingSet:
@@ -160,7 +155,7 @@ def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:
         raise ValueError("d must be positive")
     result = bss_unweighted(fourier_system(g), d)
     lam = SamplingSet(g.m, result.indices, "sampling")
-    cap = _safe_ceil((1.0 + d) * g.n)
+    cap = safe_ceil((1.0 + d) * g.n)
     if len(lam.residues) > cap:
         raise CertificateFailed(f"|J|={len(lam.residues)} exceeds ceil((1+d)n)={cap}")
     report = verify.sampling_bounds(g, lam)
@@ -223,7 +218,7 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
     """
     result = rit_select(fourier_system(omega), d)
     gamma = SamplingSet(omega.m, result.indices, "riesz")
-    size_floor = _safe_ceil((1.0 - d) * omega.n)
+    size_floor = safe_ceil((1.0 - d) * omega.n)
     if len(gamma.residues) < size_floor:
         raise CertificateFailed(
             f"|J|={len(gamma.residues)} below ceil((1-d)n)={size_floor}"

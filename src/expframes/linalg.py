@@ -1,10 +1,11 @@
 """Dense complex linear algebra for the selection and verification layers.
 
-Everything is numpy-backed and deliberately non-incremental: eigenvalue
-certificates are always recomputed from a fresh Hermitian eigendecomposition
-rather than maintained by rank-one updates.  Desk-scale orders (m up to about
-1024) keep this cheap, and it removes a whole class of drift bugs from the
-certified numbers.
+Everything is numpy-backed.  Eigenvalue certificates are always recomputed
+from a fresh Hermitian eigendecomposition rather than maintained by rank-one
+updates, which removes a whole class of drift bugs from the certified
+numbers.  Rank-one formulas are used only for scoring: the selection engines
+rank the candidates of a greedy step in closed form from that step's one
+decomposition, and certify the final selection afresh.
 """
 
 from __future__ import annotations

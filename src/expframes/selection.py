@@ -14,10 +14,13 @@ Four selectors over a finite system {v_i} in complex n-space:
 * upper_select    -- upper-barrier greedy picking exactly k rows with a small
                      certified top eigenvalue (Bessel-type bound).
 
-Every engine recomputes its certificate from a fresh eigendecomposition of
-the reassembled selection and hard-aborts if the certificate fails; bounds
-are never emitted unverified.  brute_force_best is the exhaustive oracle for
-small instances.
+The greedy loops decompose once per step: the upper and Riesz engines score
+every candidate in closed form from that one decomposition (Sherman-Morrison
+for the upper potential, a secular equation for the bordered Gram floor).
+Those scores only steer the greedy.  Every engine recomputes its certificate
+from a fresh eigendecomposition of the reassembled selection and hard-aborts
+if the certificate fails; bounds are never emitted unverified.
+brute_force_best is the exhaustive oracle for small instances.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
-from .linalg import hermitian_eig
+from .linalg import HermitianSpectrum, hermitian_eig
 
 PARSEVAL_RTOL = 1e-10
 EQUAL_NORM_RTOL = 1e-10
@@ -45,6 +48,19 @@ EQUAL_NORM_RTOL = 1e-10
 # certificates are still checked exactly afterwards.
 FEASIBILITY_SLACK = 1e-9
 RATIO_SLACK = 1e-9
+# Upper and Riesz engines: candidate scores within this relative distance of
+# the best are ties, broken to the smallest index.  It sits well above the
+# ~1e-14 accuracy of the closed-form scores, so rounding never picks a winner.
+TIE_RTOL = 1e-12
+# Riesz secular solver: Gram eigenvalues this close (relative) to the
+# smallest share one pole, and the iteration cap (a few iterations is usual).
+SECULAR_MERGE_RTOL = 1e-14
+SECULAR_MAX_ITER = 100
+
+
+def safe_ceil(x: float) -> int:
+    """Ceiling with a 1e-9 backoff, so float dust cannot bump an exact integer."""
+    return math.ceil(x - 1e-9)
 
 
 def condition_ratio_bound(q: float) -> float:
@@ -326,13 +342,24 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
 
     Selects k = ceil((1-d) * m / ||T||^2) distinct rows, where ||T||^2 is the
     top eigenvalue of the full outer sum under unit-vector normalization (for
-    Fourier rows this is m/n, giving k = ceil((1-d)*n)).  Each step adds the
-    candidate maximizing the smallest eigenvalue of the selected coefficient
-    Gram, i.e. the clearance above the moving lower barrier.  The certificate
+    Fourier rows this is m/n, giving k = ceil((1-d)*n)); the ceiling backs
+    off by 1e-9 (safe_ceil) so rounding in ||T||^2 cannot add a row.  Each
+    step adds the candidate maximizing the smallest eigenvalue of the
+    selected coefficient Gram, i.e. the clearance above the moving lower
+    barrier.  Candidates whose floor lies within TIE_RTOL (relative) of the
+    best count as tied, and the smallest index among them wins; step 0 is
+    such a tie for every equal-norm system, so row 0 is always selected.
+
+    Per step the k_s x k_s Gram of the selection is decomposed once,
+    G = Q diag(lam) Q*, and every free candidate's floor is the lowest root
+    of its secular equation (_riesz_floors), so a step costs one small
+    eigendecomposition plus O((k_s^2 + n) * m) work for all m candidates.
+    The m x m Gram is never formed.  The certificate
 
         lambda_min(Gram) >= (1-sqrt(1-d))^2 * n/m
 
-    is recomputed from the final Gram; the engine aborts on failure.
+    is recomputed from a fresh eigendecomposition of the final Gram; the
+    engine aborts on failure.
     """
     if not (0.0 < d < 1.0):
         raise InvalidD(f"d must lie in (0, 1), got {d}")
@@ -353,37 +380,36 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
 
     top = hermitian_eig(sys.outer_sum(range(m))).lam_max
     t_norm2 = top / rho2
-    k = max(1, math.ceil((1.0 - d) * m / t_norm2))
+    k = max(1, safe_ceil((1.0 - d) * m / t_norm2))
     if k > m:
         raise CertificateFailed(f"required size {k} exceeds m={m}")
 
+    vectors = sys.vectors
+    vectors_c = vectors.conj()
+    norm2 = np.einsum("ij,ij->i", vectors, vectors_c).real
+    # cross[s, i] = <v_{chosen[s]}, v_i>: the selected rows of the Gram.
+    cross = np.empty((k, m), dtype=np.complex128)
+    free = np.ones(m, dtype=bool)
     chosen: list[int] = []
-    log: list[BarrierStep] = []
+    picks: list[tuple] = []
+    extremes: list[tuple[float, float]] = []
     for step in range(k):
-        best_idx, best_floor = -1, -math.inf
-        for i in range(m):
-            if i in chosen:
-                continue
-            g = sys.gram_of(chosen + [i])
-            floor = float(np.linalg.eigvalsh(g)[0])
-            if floor > best_floor:
-                best_idx, best_floor = i, floor
-        if best_idx < 0:
+        cand = np.flatnonzero(free)
+        if step == 0:
+            floors = norm2[cand]
+        else:
+            spec = hermitian_eig(cross[:step, chosen])
+            extremes.append((spec.lam_min, spec.lam_max))
+            w2 = np.abs(spec.eigenvectors.conj().T @ cross[:step, cand]) ** 2
+            floors = _riesz_floors(spec.eigenvalues, w2, norm2[cand])
+        pos = _pick(floors, maximize=True)
+        if pos < 0:
             raise CertificateFailed("ran out of candidates")
-        chosen.append(best_idx)
-        log.append(
-            BarrierStep(
-                step=step,
-                u=None,
-                l=best_floor,
-                phi_u=None,
-                phi_l=None,
-                index=best_idx,
-                weight=1.0,
-                lam_min=best_floor,
-                lam_max=float(np.linalg.eigvalsh(sys.gram_of(chosen))[-1]),
-            )
-        )
+        best = int(cand[pos])
+        free[best] = False
+        chosen.append(best)
+        cross[step] = vectors_c @ vectors[best]
+        picks.append((best, None, float(floors[pos]), None))
 
     indices = tuple(sorted(chosen))
     gspec = hermitian_eig(sys.gram_of(indices))
@@ -391,7 +417,62 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         raise CertificateFailed(
             f"Gram floor {gspec.lam_min:.6g} below target {target:.6g}"
         )
-    return SelectionResult(indices, (), gspec.lam_min, gspec.lam_max, d, tuple(log))
+    log = _barrier_log(picks, extremes + [(gspec.lam_min, gspec.lam_max)])
+    return SelectionResult(indices, (), gspec.lam_min, gspec.lam_max, d, log)
+
+
+def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each bordered matrix [[diag(lam), w], [w*, rho2]].
+
+    lam holds the ascending eigenvalues of the selected Gram (k,), w2 the
+    squared moduli of each candidate's Gram column in that eigenbasis
+    (k, c), rho2 the candidates' squared norms (c,).  The floor is the
+    lowest root of the secular function
+
+        f(mu) = rho2 - mu - sum_t w2_t / (lam_t - mu),
+
+    which is concave and decreasing below lam_1.  Eigenvalues within
+    SECULAR_MERGE_RTOL of lam_1 are merged into one pole of weight P (the
+    root moves by at most that much).  Each iteration keeps this pole exact,
+    replaces the other terms psi by their tangent at the current point
+    (convexity puts the tangent below psi), and moves to the lowest root of
+    the resulting quadratic.  Started at the root of the one-pole truncation,
+    which lies at or above the true root, the iterates decrease
+    monotonically to it.  With P = 0 the pole drops out and the floor is
+    min(lam_1, root of the rest), which the same formula yields.  A floor
+    still moving after SECULAR_MAX_ITER iterations stays an upper estimate;
+    floors only steer the greedy, the certificate is computed afresh.
+    """
+    scale = max(float(lam[-1]), float(rho2.max()), np.finfo(float).tiny)
+    pole = float(lam[0])
+    near = lam <= pole + SECULAR_MERGE_RTOL * scale
+    pw = w2[near].sum(axis=0)
+    rest_lam = lam[~near][:, None]
+    rest_w2 = w2[~near]
+
+    def model_root(e, alpha, weight):
+        # lowest root of alpha * (e - mu) * (pole - mu) = weight
+        return 0.5 * ((e + pole) - np.sqrt((e - pole) ** 2 + 4.0 * weight / alpha))
+
+    mu = model_root(rho2, 1.0, pw)
+    if rest_lam.size == 0:
+        return mu
+    active = np.arange(mu.size)
+    tol = 8.0 * np.finfo(float).eps * scale
+    for _ in range(SECULAR_MAX_ITER):
+        cur = mu[active]
+        inv = 1.0 / (rest_lam - cur)
+        terms = (rest_w2 if active.size == mu.size else rest_w2[:, active]) * inv
+        psi = terms.sum(axis=0)
+        dpsi = np.einsum("tc,tc->c", terms, inv)
+        alpha = 1.0 + dpsi
+        e = (rho2[active] - psi + dpsi * cur) / alpha
+        new = np.minimum(model_root(e, alpha, pw[active]), cur)
+        mu[active] = new
+        active = active[cur - new > tol]
+        if active.size == 0:
+            break
+    return mu
 
 
 def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
@@ -400,9 +481,17 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     The barrier starts at u0 = 2*(n/m)*k and advances by u0/k per step; each
     step picks the unused candidate minimizing the shifted upper potential
     sum(1/(u' - lambda)) of the post-step sum, among those staying strictly
-    under the shifted barrier.  If a step has no feasible candidate, u0 is
-    doubled and the run restarts.  The reported lambda_max is recomputed from
-    the final unweighted sum.
+    under the shifted barrier.  Candidates whose potential lies within
+    TIE_RTOL (relative) of the best count as tied, and the smallest index
+    among them wins; step 0 is such a tie for every equal-norm system, so
+    row 0 is always selected.  If a step has no feasible candidate, u0 is
+    doubled and the run restarts.
+
+    Per step the running sum A is decomposed once and every candidate is
+    scored in closed form (_upper_scores), so a step costs one n x n
+    eigendecomposition plus O(n^2 * m) matrix products.  The reported
+    lambda_max is recomputed from a fresh eigendecomposition of the final
+    unweighted sum.
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -414,59 +503,95 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     for _ in range(64):
         run = _upper_run(sys, k, u0)
         if run is not None:
-            chosen, log = run
+            picks, extremes = run
             break
         u0 *= 2.0
     else:  # pragma: no cover - doubling always terminates at desk scale
         raise CertificateFailed("upper barrier restart budget exhausted")
 
-    indices = tuple(sorted(chosen))
+    indices = tuple(sorted(pick[0] for pick in picks))
     spec = hermitian_eig(sys.outer_sum(indices))
-    return SelectionResult(indices, (), spec.lam_min, spec.lam_max, float(k), tuple(log))
+    log = _barrier_log(picks, extremes + [(spec.lam_min, spec.lam_max)])
+    return SelectionResult(indices, (), spec.lam_min, spec.lam_max, float(k), log)
+
+
+def _upper_scores(spec: HermitianSpectrum, vectors_t: np.ndarray, u_next: float):
+    """Feasibility and post-step upper potential of every candidate at once.
+
+    spec decomposes the running sum A = U diag(lam) U*, vectors_t holds the
+    candidates as columns (n, m), and u_next must exceed lam_max(A).  With
+    c = |U* v|^2, q1 = sum c/(u'-lam) and q2 = sum c/(u'-lam)^2, adding vv*
+    keeps lambda_max under u' iff q1 < 1, and by Sherman-Morrison the new
+    potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Returns
+    (feasible, phi) with phi = inf where infeasible.
+    """
+    inv = 1.0 / (u_next - spec.eigenvalues)
+    coords = np.abs(spec.eigenvectors.conj().T @ vectors_t) ** 2
+    q1 = inv @ coords
+    q2 = (inv * inv) @ coords
+    feasible = q1 < 1.0
+    phi = np.full(q1.shape, np.inf)
+    phi[feasible] = float(np.sum(inv)) + q2[feasible] / (1.0 - q1[feasible])
+    return feasible, phi
 
 
 def _upper_run(sys: VectorSystem, k: int, u0: float):
-    m = sys.m
+    """One upper-barrier pass from u0, or None when a step has no candidate.
+
+    Returns the picks as (index, u, None, phi_u) and the extremes of the
+    running sum after every pick but the last, whose extremes the caller's
+    certificate supplies (see _barrier_log).
+    """
+    n = sys.n
     delta = u0 / k
     u = u0
-    a = np.zeros((sys.n, sys.n), dtype=np.complex128)
-    chosen: list[int] = []
-    log: list[BarrierStep] = []
+    vectors_t = sys.vectors.T
+    a = np.zeros((n, n), dtype=np.complex128)
+    spec = HermitianSpectrum(np.zeros(n), np.eye(n, dtype=np.complex128))  # of a = 0
+    free = np.ones(sys.m, dtype=bool)
+    picks: list[tuple] = []
+    extremes: list[tuple[float, float]] = []
     for step in range(k):
+        if step:
+            spec = hermitian_eig(a)
+            extremes.append((spec.lam_min, spec.lam_max))
         u_next = u + delta
-        best_idx, best_phi, best_vals = -1, math.inf, None
-        for i in range(m):
-            if i in chosen:
-                continue
-            v = sys.vectors[i]
-            trial = a + np.outer(v, v.conj())
-            vals = np.linalg.eigvalsh(0.5 * (trial + trial.conj().T))
-            if vals[-1] >= u_next:
-                continue
-            phi = float(np.sum(1.0 / (u_next - vals)))
-            if phi < best_phi:
-                best_idx, best_phi, best_vals = i, phi, vals
-        if best_idx < 0:
+        feasible, phi = _upper_scores(spec, vectors_t, u_next)
+        cand = np.flatnonzero(feasible & free)
+        pos = _pick(phi[cand], maximize=False)
+        if pos < 0:
             return None
-        v = sys.vectors[best_idx]
+        best = int(cand[pos])
+        v = sys.vectors[best]
         a = a + np.outer(v, v.conj())
         a = 0.5 * (a + a.conj().T)
-        chosen.append(best_idx)
+        free[best] = False
         u = u_next
-        log.append(
-            BarrierStep(
-                step=step,
-                u=u,
-                l=None,
-                phi_u=best_phi,
-                phi_l=None,
-                index=best_idx,
-                weight=1.0,
-                lam_min=float(best_vals[0]),
-                lam_max=float(best_vals[-1]),
-            )
-        )
-    return chosen, log
+        picks.append((best, u, None, float(phi[best])))
+    return picks, extremes
+
+
+def _barrier_log(picks, extremes) -> tuple[BarrierStep, ...]:
+    """BarrierSteps of an unweighted greedy from its picks (index, u, l, phi_u).
+
+    extremes[s] holds (lam_min, lam_max) after pick s: the loop's own
+    decomposition at the start of step s+1, and for the last pick the
+    engine's certificate, so no decomposition is made only for the log.
+    """
+    return tuple(
+        BarrierStep(step, u, l, phi_u, None, index, 1.0, lo, hi)
+        for step, ((index, u, l, phi_u), (lo, hi)) in enumerate(zip(picks, extremes))
+    )
+
+
+def _pick(scores: np.ndarray, maximize: bool) -> int:
+    """Position of the first score within TIE_RTOL of the best; -1 if none."""
+    if scores.size == 0:
+        return -1
+    best = float(scores.max() if maximize else scores.min())
+    tol = TIE_RTOL * abs(best)
+    near = scores >= best - tol if maximize else scores <= best + tol
+    return int(np.argmax(near))
 
 
 def brute_force_best(sys: VectorSystem, k: int, objective: str) -> tuple[tuple[int, ...], float]:

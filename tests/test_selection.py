@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import expframes as ef
-from expframes.construct import fourier_system
+from expframes import selection
+from expframes.construct import build_riesz, fourier_system
 from expframes.errors import (
     InvalidD,
     KTooLarge,
@@ -304,3 +305,255 @@ class TestBruteForce:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             ef.brute_force_best(fourier_system(ef.GridSpectrum(4, (0,))), 1, "nope")
+
+
+# --- closed-form candidate scoring --------------------------------------------
+#
+# The upper and Riesz engines score every candidate from one decomposition per
+# step.  The oracle below takes the direct route: one eigvalsh per candidate on
+# the explicitly bordered matrix.
+
+
+def oracle_upper_scores(a, vectors, u_next):
+    """Per-candidate feasibility and post-step upper potential by eigvalsh."""
+    feasible, phi = [], []
+    for v in vectors:
+        trial = a + np.outer(v, v.conj())
+        vals = np.linalg.eigvalsh(0.5 * (trial + trial.conj().T))
+        ok = bool(vals[-1] < u_next)
+        feasible.append(ok)
+        phi.append(float(np.sum(1.0 / (u_next - vals))) if ok else math.inf)
+    return np.array(feasible), np.array(phi)
+
+
+def oracle_riesz_floor(sys, chosen, i):
+    return float(np.linalg.eigvalsh(sys.gram_of(list(chosen) + [i]))[0])
+
+
+def oracle_upper_run(sys, k, u0):
+    """The per-candidate upper greedy with the engines' tie rule."""
+    delta, u = u0 / k, u0
+    a = np.zeros((sys.n, sys.n), dtype=complex)
+    chosen = []
+    for _ in range(k):
+        u_next = u + delta
+        feasible, phi = oracle_upper_scores(a, sys.vectors, u_next)
+        cand = [i for i in range(sys.m) if feasible[i] and i not in chosen]
+        if not cand:
+            return None
+        best = min(phi[i] for i in cand)
+        pick = next(i for i in cand if phi[i] <= best * (1.0 + selection.TIE_RTOL))
+        v = sys.vectors[pick]
+        a = a + np.outer(v, v.conj())
+        chosen.append(pick)
+        u = u_next
+    return chosen
+
+
+def assert_tie_rule(scores, index, maximize):
+    """index is the smallest free index within the tie tolerance of the best.
+
+    scores maps each free index to its oracle score.  The oracle and the
+    closed forms agree to ~1e-14, far inside TIE_RTOL, so a margin of 1e-13
+    on either side keeps this check independent of rounding.
+    """
+    best = max(scores.values()) if maximize else min(scores.values())
+    rel = selection.TIE_RTOL + 1e-13
+    sign = -1.0 if maximize else 1.0
+    assert sign * (scores[index] - best) <= rel * abs(best)
+    for j, s in scores.items():
+        if j < index:
+            assert sign * (s - best) > (selection.TIE_RTOL - 1e-13) * abs(best)
+
+
+def restart_system():
+    # large rows: the first two barrier starts leave no feasible candidate
+    rng = np.random.default_rng(0)
+    return ef.VectorSystem(1.5 * (rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))))
+
+
+def seeded_fourier(i, m):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(47, i)))
+    n = int(rng.integers(2, m // 2 + 1))
+    cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
+    return fourier_system(ef.GridSpectrum(m, cells))
+
+
+def replay_upper(sys, res):
+    """Check every logged upper step against the eigvalsh oracle."""
+    a = np.zeros((sys.n, sys.n), dtype=complex)
+    chosen = []
+    for step in res.barrier_log:
+        spec = ef.hermitian_eig(a)
+        feasible, phi = selection._upper_scores(spec, sys.vectors.T, step.u)
+        o_feasible, o_phi = oracle_upper_scores(a, sys.vectors, step.u)
+        free = [i for i in range(sys.m) if i not in chosen]
+        assert list(feasible[free]) == list(o_feasible[free])
+        for i in free:
+            if o_feasible[i]:
+                assert math.isclose(phi[i], o_phi[i], rel_tol=1e-10)
+        assert_tie_rule({i: o_phi[i] for i in free if o_feasible[i]}, step.index, False)
+        assert math.isclose(step.phi_u, o_phi[step.index], rel_tol=1e-10)
+        v = sys.vectors[step.index]
+        a = a + np.outer(v, v.conj())
+        chosen.append(step.index)
+        vals = np.linalg.eigvalsh(a)
+        assert math.isclose(step.lam_max, vals[-1], rel_tol=1e-10, abs_tol=1e-12)
+        assert math.isclose(step.lam_min, vals[0], rel_tol=1e-10, abs_tol=1e-12)
+
+
+def replay_riesz(sys, res):
+    """Check every logged Riesz step's candidate floors against eigvalsh."""
+    chosen = []
+    for step in res.barrier_log:
+        free = [i for i in range(sys.m) if i not in chosen]
+        oracle = {i: oracle_riesz_floor(sys, chosen, i) for i in free}
+        if chosen:
+            spec = ef.hermitian_eig(sys.gram_of(chosen))
+            cross = sys.vectors[chosen] @ sys.vectors[free].conj().T
+            w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
+            norm2 = np.sum(np.abs(sys.vectors[free]) ** 2, axis=1)
+            floors = selection._riesz_floors(spec.eigenvalues, w2, norm2)
+            for i, f in zip(free, floors):
+                assert abs(f - oracle[i]) <= 1e-10
+        assert_tie_rule(oracle, step.index, True)
+        assert abs(step.l - oracle[step.index]) <= 1e-10
+        chosen.append(step.index)
+        vals = np.linalg.eigvalsh(sys.gram_of(chosen))
+        assert abs(step.lam_min - vals[0]) <= 1e-10
+        assert abs(step.lam_max - vals[-1]) <= 1e-10
+
+
+class TestClosedFormScoring:
+    @pytest.mark.parametrize("i", range(6))
+    def test_upper_matches_oracle_every_step(self, i):
+        sys = seeded_fourier(i, (8, 16, 32)[i % 3])
+        res = ef.upper_select(sys, min(sys.n + 1 + i % 2, sys.m))
+        replay_upper(sys, res)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_riesz_matches_oracle_every_step(self, i):
+        sys = seeded_fourier(i, (8, 16, 32)[i % 3])
+        res = ef.rit_select(sys, (0.25, 0.5)[i % 2])
+        replay_riesz(sys, res)
+
+    def test_upper_restart_matches_oracle(self, monkeypatch):
+        sys = restart_system()
+        runs = []
+        original = selection._upper_run
+
+        def recording(s, k, u0):
+            out = original(s, k, u0)
+            runs.append((u0, out))
+            return out
+
+        monkeypatch.setattr(selection, "_upper_run", recording)
+        res = ef.upper_select(sys, 4)
+        assert len(runs) >= 2 and runs[0][1] is None
+        for u0, out in runs:
+            expected = oracle_upper_run(sys, 4, u0)
+            assert (None if out is None else [pick[0] for pick in out[0]]) == expected
+        replay_upper(sys, res)
+
+    def test_orthogonal_rows_zero_weights(self):
+        # two copies of a scaled basis: a free row orthogonal to every chosen
+        # row has all secular weights exactly 0, and its floor is min(lam_1, rho2)
+        sys = ef.VectorSystem(
+            np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0), parseval=True, equal_norm=True
+        )
+        with np.errstate(all="raise"):
+            floors = selection._riesz_floors(np.ones(3), np.zeros((3, 3)), np.ones(3))
+            res = ef.rit_select(sys, 0.5)
+            up = ef.upper_select(sys, 3)
+        assert list(floors) == [1.0, 1.0, 1.0]
+        assert res.indices == (0, 1)
+        assert all(math.isclose(step.l, 0.5, rel_tol=1e-15) for step in res.barrier_log)
+        replay_riesz(sys, res)
+        assert up.indices == (0, 1, 2)
+        replay_upper(sys, up)
+
+    def test_clustered_gram_poles(self):
+        # contiguous rows over contiguous cells: a Gram with a cluster of
+        # near-zero eigenvalues and exact multiplicities elsewhere
+        sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
+        for chosen in (list(range(8)), list(range(0, 32, 4))):
+            free = [i for i in range(32) if i not in chosen]
+            spec = ef.hermitian_eig(sys.gram_of(chosen))
+            cross = sys.vectors[chosen] @ sys.vectors[free].conj().T
+            w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
+            floors = selection._riesz_floors(spec.eigenvalues, w2, np.full(len(free), 12 / 32))
+            for i, f in zip(free, floors):
+                assert abs(f - oracle_riesz_floor(sys, chosen, i)) <= 1e-10
+
+
+class TestDeterministicTies:
+    @pytest.mark.parametrize("i", range(8))
+    def test_residue_zero_always_selected(self, i):
+        sys = seeded_fourier(i, (8, 16, 32, 64)[i % 4])
+        up = ef.upper_select(sys, min(sys.n + 1, sys.m))
+        rit = ef.rit_select(sys, (0.25, 0.5, 0.75)[i % 3])
+        assert 0 in up.indices and 0 in rit.indices
+        assert up.barrier_log[0].index == 0 and rit.barrier_log[0].index == 0
+
+    def test_pick_prefers_smallest_index_within_tolerance(self):
+        scores = np.array([1.0 + 5e-13, 1.0, 1.0 - 5e-13, 2.0])
+        assert selection._pick(scores, maximize=False) == 0
+        assert selection._pick(scores, maximize=True) == 3
+        assert selection._pick(np.array([1.0, 1.0 + 1e-9]), maximize=True) == 1
+        assert selection._pick(np.array([]), maximize=True) == -1
+
+
+class TestRitSize:
+    def test_rounded_top_eigenvalue_does_not_add_a_row(self):
+        # ||T||^2 evaluates to 4 - 4e-16 here, so a plain ceiling of
+        # (1-d)*m/||T||^2 = 1 + 2e-16 would select 2 rows instead of 1
+        sys = fourier_system(ef.GridSpectrum(8, (2, 4)))
+        res = ef.rit_select(sys, 0.5)
+        assert len(res.indices) == math.ceil(0.5 * 2) == 1
+        assert len(build_riesz(ef.GridSpectrum(8, (2, 4)), 0.5).sampling_set.residues) == 1
+
+
+class TestWorkCount:
+    """Decompositions per call, counted instead of timed.
+
+    Each greedy step decomposes at most once and each engine certifies once
+    more (Riesz: plus the top eigenvalue that sizes k), within the bound
+    steps + restarts + 2.  No candidate gets its own eigvalsh call.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"eig": 0, "eigvalsh": 0, "steps": 0, "runs": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                tally[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(selection, "hermitian_eig", counting("eig", selection.hermitian_eig))
+        monkeypatch.setattr(
+            selection.np.linalg, "eigvalsh", counting("eigvalsh", selection.np.linalg.eigvalsh)
+        )
+        monkeypatch.setattr(selection, "_upper_scores", counting("steps", selection._upper_scores))
+        monkeypatch.setattr(selection, "_upper_run", counting("runs", selection._upper_run))
+        return tally
+
+    @pytest.mark.parametrize("case", ["fourier", "restart"])
+    def test_upper_select(self, counts, case):
+        if case == "fourier":
+            sys, k = fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 5)))), 14
+        else:
+            sys, k = restart_system(), 4
+        ef.upper_select(sys, k)
+        restarts = counts["runs"] - 1
+        assert counts["eigvalsh"] == 0
+        assert counts["eig"] <= counts["steps"] + restarts + 2
+        if case == "restart":
+            assert restarts >= 1
+
+    def test_rit_select(self, counts):
+        res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
+        assert counts["eigvalsh"] == 0
+        assert counts["eig"] <= len(res.barrier_log) + 2
