@@ -1,9 +1,10 @@
 """Command-line surface: construct, verify, duality, exhaust, sweep.
 
 Reports go to stdout as JSON or CSV (CSV schemas are versioned in a header
-comment).  Every numeric bound in a report is recomputed through the
-verification layer before printing.  Exit codes: 0 all certificates pass,
-1 certificate failure, 2 input error.
+comment).  Every numeric bound in a report comes from the verification
+layer: the builders certify through it once, and the CLI prints their
+numbers.  Exit codes: 0 all certificates pass, 1 certificate failure,
+2 input error.
 """
 
 from __future__ import annotations
@@ -94,26 +95,18 @@ def cmd_construct(args) -> int:
         if args.d is None:
             raise ValueError("--mode sampling needs --d")
         report = cons.build_sampling(grid, args.d)
-        recomputed = ver.sampling_bounds(grid, report.sampling_set)
     elif args.mode == "bessel":
         report = cons.build_bessel(grid, args.k)
-        recomputed = ver.sampling_bounds(grid, report.sampling_set)
     elif args.mode == "riesz":
         if args.d is None:
             raise ValueError("--mode riesz needs --d in (0, 1)")
         report = cons.build_riesz(grid, args.d)
-        recomputed = ver.riesz_bounds(grid, report.sampling_set)
     else:
         raise ValueError(f"unknown mode {args.mode!r}")
-    payload = report.to_dict()
-    payload["lower"] = recomputed.lower
-    payload["upper"] = recomputed.upper
     if args.format == "csv":
-        row = report.csv_row()
-        row[5], row[6] = recomputed.lower, recomputed.upper
-        _emit_csv(cons.CSV_COLUMNS, [row])
+        _emit_csv(cons.CSV_COLUMNS, [report.csv_row()])
     else:
-        _emit_json(payload)
+        _emit_json(report.to_dict())
     return 0
 
 
@@ -167,14 +160,13 @@ def _sweep_case(m: int, frac: Fraction, d: float, seed: int):
     cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
     grid = GridSpectrum(m, cells)
     report = cons.build_sampling(grid, d)
-    recomputed = ver.sampling_bounds(grid, report.sampling_set)
     s_meas = n / m
     target = lower_certificate_constant(d) * s_meas
     return [
         m, n, d, len(report.sampling_set.residues),
         float(report.density), float(report.landau_floor),
-        recomputed.lower, recomputed.upper, target, s_meas**2,
-        bool(recomputed.lower >= target),
+        report.certified_lower, report.certified_upper, target, s_meas**2,
+        bool(report.certified_lower >= target),
     ]
 
 

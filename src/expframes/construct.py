@@ -74,7 +74,7 @@ def fourier_system(g: GridSpectrum) -> VectorSystem:
     identity on coefficient space and share squared norm n/m.
     """
     w = dft_submatrix(g.m, range(g.m), g.cells) / math.sqrt(g.m)
-    return VectorSystem(w, parseval=True, equal_norm=True)
+    return VectorSystem(w, parseval=True, equal_norm=True, grid=(g.m, g.cells))
 
 
 CSV_COLUMNS = ("m", "n", "J", "density", "landau_floor", "lower", "upper", "C_target", "pass")

@@ -5,7 +5,9 @@ from a fresh Hermitian eigendecomposition rather than maintained by rank-one
 updates, which removes a whole class of drift bugs from the certified
 numbers.  Rank-one formulas are used only for scoring: the selection engines
 rank the candidates of a greedy step in closed form from that step's one
-decomposition, and certify the final selection afresh.
+bare np.linalg.eigh, and certify the final selection afresh with
+hermitian_eig.  The scores depend on spectral projections only, so the
+eigenvector phase convention of hermitian_eig matters only to its callers.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ def dft_submatrix(m: int, row_set, col_set) -> np.ndarray:
             raise ValueError(f"{name} residue out of range [0, {m - 1}]")
         if np.unique(idx).size != idx.size:
             raise ValueError(f"duplicate {name} residues")
-    phase = 2.0j * np.pi * np.outer(rows, cols) / m
-    return np.exp(phase)
+    # Phases reduced mod m stay below 2*pi, so entries are accurate to a few
+    # ulps at any m; the m roots of unity are computed once and gathered.
+    roots = np.exp(2.0j * np.pi * np.arange(m) / m)
+    return roots[np.outer(rows, cols) % m]
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -52,7 +56,9 @@ class HermitianSpectrum:
 
     Eigenvectors follow a fixed sign convention (first component of modulus
     above 1e-8 times the max is rotated to the positive real axis) so that
-    identical inputs give byte-identical results.
+    identical inputs give byte-identical results.  Only hermitian_eig's
+    callers rely on it; the greedy loops use bare eigenvectors, whose phases
+    none of their scores depend on.
     """
 
     eigenvalues: np.ndarray

@@ -14,12 +14,16 @@ Four selectors over a finite system {v_i} in complex n-space:
 * upper_select    -- upper-barrier greedy picking exactly k rows with a small
                      certified top eigenvalue (Bessel-type bound).
 
-The greedy loops decompose once per step: the upper and Riesz engines score
-every candidate in closed form from that one decomposition (Sherman-Morrison
-for the upper potential, a secular equation for the bordered Gram floor).
-Those scores only steer the greedy.  Every engine recomputes its certificate
-from a fresh eigendecomposition of the reassembled selection and hard-aborts
-if the certificate fails; bounds are never emitted unverified.
+The greedy loops decompose once per step with a bare np.linalg.eigh and
+score every candidate in closed form from that one decomposition (barrier
+shifts for the two-sided engine, Sherman-Morrison for the upper potential, a
+secular equation for the bordered Gram floor).  The scores depend only on
+the spectral projections, not on eigenvector phases, and only steer the
+greedy.  The two-sided and upper engines read their scores as quadratic
+forms of one n x n matrix (VectorSystem.quad_forms), which a Fourier grid
+system evaluates with one FFT.  Every engine recomputes its certificate from
+a fresh hermitian_eig of the reassembled selection and hard-aborts if the
+certificate fails; bounds are never emitted unverified.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
@@ -40,7 +44,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
-from .linalg import HermitianSpectrum, hermitian_eig
+from .linalg import hermitian_eig
 
 PARSEVAL_RTOL = 1e-10
 EQUAL_NORM_RTOL = 1e-10
@@ -48,14 +52,18 @@ EQUAL_NORM_RTOL = 1e-10
 # certificates are still checked exactly afterwards.
 FEASIBILITY_SLACK = 1e-9
 RATIO_SLACK = 1e-9
-# Upper and Riesz engines: candidate scores within this relative distance of
-# the best are ties, broken to the smallest index.  It sits well above the
-# ~1e-14 accuracy of the closed-form scores, so rounding never picks a winner.
+# Greedy engines: candidate scores within this relative distance of the best
+# (two-sided engine: margins, relative to the largest |U| + |L|) are ties,
+# broken to the smallest index.  It sits well above the ~1e-14 accuracy of
+# the closed-form scores, so rounding never picks a winner.
 TIE_RTOL = 1e-12
 # Riesz secular solver: Gram eigenvalues this close (relative) to the
 # smallest share one pole, and the iteration cap (a few iterations is usual).
 SECULAR_MERGE_RTOL = 1e-14
 SECULAR_MAX_ITER = 100
+# Largest deviation of a grid system's rows, scaled by sqrt(m) to unit
+# modulus, from exact Fourier rows.
+GRID_ATOL = 1e-10
 
 
 def safe_ceil(x: float) -> int:
@@ -85,13 +93,18 @@ class VectorSystem:
     """Finite family of m vectors in complex n-space, stored as rows.
 
     With parseval=True the rows must resolve the identity (sum of v v* = I);
-    with equal_norm=True every squared norm must equal n/m.  Both checks run
-    at construction time.
+    with equal_norm=True every squared norm must equal n/m.  grid=(m, cells)
+    declares the rows to be the normalized Fourier rows
+    v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells}, j = 0..m-1, which lets
+    quad_forms use an FFT.  All checks run at construction time.
     """
 
     vectors: np.ndarray
     parseval: bool = False
     equal_norm: bool = False
+    grid: Optional[tuple[int, tuple[int, ...]]] = None
+    # Grid systems: (r_b - r_a) mod m for every entry (a, b) of an n x n matrix.
+    _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.vectors, dtype=np.complex128)
@@ -113,6 +126,21 @@ class VectorSystem:
             err = float(np.abs(norms2 - target).max())
             if err > EQUAL_NORM_RTOL * max(1.0, target):
                 raise ValueError(f"row norm deviation {err:.3e} exceeds tolerance")
+        if self.grid is not None:
+            self._check_grid(arr)
+
+    def _check_grid(self, arr: np.ndarray) -> None:
+        """Validate grid=(m, cells) against the rows and index the cell differences."""
+        m, cells = int(self.grid[0]), tuple(int(r) for r in self.grid[1])
+        object.__setattr__(self, "grid", (m, cells))
+        if (m, len(cells)) != arr.shape:
+            raise ValueError(f"grid ({m}, {len(cells)} cells) does not match rows {arr.shape}")
+        r = np.asarray(cells, dtype=np.int64)
+        roots = np.exp(2.0j * np.pi * np.arange(m) / m)
+        err = float(np.abs(math.sqrt(m) * arr - roots[np.outer(np.arange(m), r) % m]).max())
+        if err > GRID_ATOL:
+            raise ValueError(f"rows deviate from the grid's Fourier rows by {err:.3e}")
+        object.__setattr__(self, "_cell_diffs", ((r[None, :] - r[:, None]) % m).ravel())
 
     @property
     def m(self) -> int:
@@ -121,6 +149,23 @@ class VectorSystem:
     @property
     def n(self) -> int:
         return self.vectors.shape[1]
+
+    def quad_forms(self, b: np.ndarray) -> np.ndarray:
+        """Complex quadratic forms v_j* b v_j of every row j, for any n x n b.
+
+        A grid system gathers b's entries along each cell difference
+        d = r_b - r_a mod m and takes one inverse FFT of length m, since
+        v_j* b v_j = (1/m) sum_d e^{2i pi j d/m} sum_{r_b - r_a = d} b[a, b]:
+        O(n^2 + m log m).  Any other system takes the dense O(n^2 m) route.
+        For Hermitian b the forms are real; b = H1 + i H2 with H1, H2
+        Hermitian returns both families at once as real and imaginary parts.
+        """
+        if self._cell_diffs is None:
+            return ((self.vectors.conj() @ b) * self.vectors).sum(axis=1)
+        flat = np.asarray(b, dtype=np.complex128).ravel()
+        real = np.bincount(self._cell_diffs, flat.real, self.m)
+        imag = np.bincount(self._cell_diffs, flat.imag, self.m)
+        return np.fft.ifft(real + 1j * imag)
 
     def outer_sum(self, indices: Iterable[int], weights: Optional[Iterable[float]] = None) -> np.ndarray:
         """Hermitian n x n sum of (weighted) outer products over the indices."""
@@ -223,6 +268,17 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     certified lambda_min is 1.  Indices may be picked repeatedly; weight then
     accumulates and |indices| counts distinct picks.
 
+    Ties: a candidate's margin L - U is a difference, so its rounding scales
+    with the scores, not with the margin.  Margins within
+    TIE_RTOL * max_i(|U(v_i)| + |L(v_i)|) of the best are tied, and the
+    smallest index among them wins.  Step 0 is an exact m-way tie on every
+    equal-norm system, so row 0 is always selected.
+
+    Per step the running sum is decomposed once, A = U diag(lam) U*, and
+    both scores of every candidate are the real and imaginary parts of the
+    quadratic forms of U diag(g_u + i g_l) U*: one eigendecomposition, one
+    n x n product, then O(n^2 + m log m) on a Fourier grid system.
+
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently).
     """
@@ -243,32 +299,32 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     eps_u = (sq - 1.0) / (sq * (sq + 1.0))
     lower, upper = -n * sq, n / eps_u
 
-    vectors_t = sys.vectors.T  # (n, m)
     a = np.zeros((n, n), dtype=np.complex128)
-    spec = hermitian_eig(a)
+    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # eigh of a = 0
+    phi_u, phi_l = n / upper, -n / lower
     weights: dict[int, float] = {}
     log: list[BarrierStep] = []
 
     for step in range(steps):
         u_next, l_next = upper + delta_u, lower + delta_l
-        evals = spec.eigenvalues
-        gaps_u = u_next - evals
-        gaps_l = evals - l_next
+        gaps_u = u_next - lam
+        gaps_l = lam - l_next
         if gaps_u.min() <= 0.0 or gaps_l.min() <= 0.0:
             raise NoFeasibleCandidate(f"barrier crossed the spectrum at step {step}")
-        phi_u = float(np.sum(1.0 / (upper - evals)))
-        phi_l = float(np.sum(1.0 / (evals - lower)))
-        denom_u = phi_u - float(np.sum(1.0 / gaps_u))
-        denom_l = float(np.sum(1.0 / gaps_l)) - phi_l
+        inv_u, inv_l = 1.0 / gaps_u, 1.0 / gaps_l
+        denom_u = phi_u - float(np.sum(inv_u))
+        denom_l = float(np.sum(inv_l)) - phi_l
         if denom_u <= 0.0 or denom_l <= 0.0:
             raise NoFeasibleCandidate(f"potential shift degenerate at step {step}")
 
-        coords = np.abs(spec.eigenvectors.conj().T @ vectors_t) ** 2  # (n, m)
-        inv_u, inv_l = 1.0 / gaps_u, 1.0 / gaps_l
-        score_u = (inv_u**2) @ coords / denom_u + inv_u @ coords
-        score_l = (inv_l**2) @ coords / denom_l - inv_l @ coords
+        # U(v) = v*(u'-A)^-2 v / denom_u + v*(u'-A)^-1 v and its lower mirror,
+        # both as quadratic forms of one packed matrix.
+        g_u = inv_u**2 / denom_u + inv_u
+        g_l = inv_l**2 / denom_l - inv_l
+        forms = sys.quad_forms((vecs * (g_u + 1j * g_l)) @ vecs.conj().T)
+        score_u, score_l = forms.real, forms.imag
         margin = score_l - score_u
-        chosen = int(np.argmax(margin))
+        chosen = _pick(margin, True, float(np.max(np.abs(score_u) + np.abs(score_l))))
         slack = FEASIBILITY_SLACK * max(1.0, abs(score_u[chosen]), abs(score_l[chosen]))
         if margin[chosen] < -slack:
             raise NoFeasibleCandidate(
@@ -283,27 +339,28 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
         a = 0.5 * (a + a.conj().T)
         weights[chosen] = weights.get(chosen, 0.0) + t
         upper, lower = u_next, l_next
-        spec = hermitian_eig(a)
+        lam, vecs = np.linalg.eigh(a)
+        phi_u = float(np.sum(1.0 / (upper - lam)))
+        phi_l = float(np.sum(1.0 / (lam - lower)))
         log.append(
             BarrierStep(
                 step=step,
                 u=upper,
                 l=lower,
-                phi_u=float(np.sum(1.0 / (upper - spec.eigenvalues))),
-                phi_l=float(np.sum(1.0 / (spec.eigenvalues - lower))),
+                phi_u=phi_u,
+                phi_l=phi_l,
                 index=chosen,
                 weight=t,
-                lam_min=spec.lam_min,
-                lam_max=spec.lam_max,
+                lam_min=float(lam[0]),
+                lam_max=float(lam[-1]),
             )
         )
 
     bound = condition_ratio_bound(q)
-    if spec.lam_min <= 0.0 or spec.lam_max / spec.lam_min > bound * (1.0 + RATIO_SLACK):
-        raise CertificateFailed(
-            f"condition ratio {spec.lam_max / spec.lam_min:.6g} exceeds {bound:.6g}"
-        )
-    scale = 1.0 / spec.lam_min
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    if lam_min <= 0.0 or lam_max / lam_min > bound * (1.0 + RATIO_SLACK):
+        raise CertificateFailed(f"condition ratio {lam_max / lam_min:.6g} exceeds {bound:.6g}")
+    scale = 1.0 / lam_min
     indices = tuple(sorted(weights))
     final_weights = tuple(weights[i] * scale for i in indices)
     final = hermitian_eig(sys.outer_sum(indices, final_weights))
@@ -398,10 +455,10 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         if step == 0:
             floors = norm2[cand]
         else:
-            spec = hermitian_eig(cross[:step, chosen])
-            extremes.append((spec.lam_min, spec.lam_max))
-            w2 = np.abs(spec.eigenvectors.conj().T @ cross[:step, cand]) ** 2
-            floors = _riesz_floors(spec.eigenvalues, w2, norm2[cand])
+            lam, vecs = np.linalg.eigh(cross[:step, chosen])
+            extremes.append((float(lam[0]), float(lam[-1])))
+            w2 = np.abs(vecs.conj().T @ cross[:step, cand]) ** 2
+            floors = _riesz_floors(lam, w2, norm2[cand])
         pos = _pick(floors, maximize=True)
         if pos < 0:
             raise CertificateFailed("ran out of candidates")
@@ -488,10 +545,10 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     doubled and the run restarts.
 
     Per step the running sum A is decomposed once and every candidate is
-    scored in closed form (_upper_scores), so a step costs one n x n
-    eigendecomposition plus O(n^2 * m) matrix products.  The reported
-    lambda_max is recomputed from a fresh eigendecomposition of the final
-    unweighted sum.
+    scored in closed form (_upper_scores): one n x n eigendecomposition, one
+    n x n product, then O(n^2 + m log m) on a Fourier grid system (O(n^2 m)
+    on any other).  The reported lambda_max is recomputed from a fresh
+    eigendecomposition of the final unweighted sum.
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -515,20 +572,19 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     return SelectionResult(indices, (), spec.lam_min, spec.lam_max, float(k), log)
 
 
-def _upper_scores(spec: HermitianSpectrum, vectors_t: np.ndarray, u_next: float):
+def _upper_scores(sys: VectorSystem, lam: np.ndarray, vecs: np.ndarray, u_next: float):
     """Feasibility and post-step upper potential of every candidate at once.
 
-    spec decomposes the running sum A = U diag(lam) U*, vectors_t holds the
-    candidates as columns (n, m), and u_next must exceed lam_max(A).  With
-    c = |U* v|^2, q1 = sum c/(u'-lam) and q2 = sum c/(u'-lam)^2, adding vv*
-    keeps lambda_max under u' iff q1 < 1, and by Sherman-Morrison the new
-    potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Returns
-    (feasible, phi) with phi = inf where infeasible.
+    lam, vecs decompose the running sum A = U diag(lam) U*, and u_next must
+    exceed lam_max(A).  With q1 = v*(u'-A)^-1 v and q2 = v*(u'-A)^-2 v,
+    adding vv* keeps lambda_max under u' iff q1 < 1, and by Sherman-Morrison
+    the new potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Both
+    forms come from one quad_forms call on U diag(g + i g^2) U*, g = 1/(u'-lam).
+    Returns (feasible, phi) with phi = inf where infeasible.
     """
-    inv = 1.0 / (u_next - spec.eigenvalues)
-    coords = np.abs(spec.eigenvectors.conj().T @ vectors_t) ** 2
-    q1 = inv @ coords
-    q2 = (inv * inv) @ coords
+    inv = 1.0 / (u_next - lam)
+    forms = sys.quad_forms((vecs * (inv + 1j * inv**2)) @ vecs.conj().T)
+    q1, q2 = forms.real, forms.imag
     feasible = q1 < 1.0
     phi = np.full(q1.shape, np.inf)
     phi[feasible] = float(np.sum(inv)) + q2[feasible] / (1.0 - q1[feasible])
@@ -545,18 +601,17 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
     n = sys.n
     delta = u0 / k
     u = u0
-    vectors_t = sys.vectors.T
     a = np.zeros((n, n), dtype=np.complex128)
-    spec = HermitianSpectrum(np.zeros(n), np.eye(n, dtype=np.complex128))  # of a = 0
+    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # eigh of a = 0
     free = np.ones(sys.m, dtype=bool)
     picks: list[tuple] = []
     extremes: list[tuple[float, float]] = []
     for step in range(k):
         if step:
-            spec = hermitian_eig(a)
-            extremes.append((spec.lam_min, spec.lam_max))
+            lam, vecs = np.linalg.eigh(a)
+            extremes.append((float(lam[0]), float(lam[-1])))
         u_next = u + delta
-        feasible, phi = _upper_scores(spec, vectors_t, u_next)
+        feasible, phi = _upper_scores(sys, lam, vecs, u_next)
         cand = np.flatnonzero(feasible & free)
         pos = _pick(phi[cand], maximize=False)
         if pos < 0:
@@ -584,12 +639,16 @@ def _barrier_log(picks, extremes) -> tuple[BarrierStep, ...]:
     )
 
 
-def _pick(scores: np.ndarray, maximize: bool) -> int:
-    """Position of the first score within TIE_RTOL of the best; -1 if none."""
+def _pick(scores: np.ndarray, maximize: bool, scale: Optional[float] = None) -> int:
+    """Position of the first score within TIE_RTOL * scale of the best; -1 if none.
+
+    scale defaults to |best|; a score that is a difference of larger terms
+    passes the size of those terms instead, which sets its rounding.
+    """
     if scores.size == 0:
         return -1
     best = float(scores.max() if maximize else scores.min())
-    tol = TIE_RTOL * abs(best)
+    tol = TIE_RTOL * (abs(best) if scale is None else scale)
     near = scores >= best - tol if maximize else scores <= best + tol
     return int(np.argmax(near))
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from expframes import verify
 from expframes.cli import main
 
 
@@ -167,3 +170,42 @@ class TestSweep:
         for row in rows:
             assert row["lower"] >= row["C_target"]
             assert row["s_squared"] == (row["n"] / row["m"]) ** 2
+
+
+class TestOneCertification:
+    """Each construct and each sweep row calls a verify bound exactly once."""
+
+    @pytest.fixture
+    def bound_calls(self, monkeypatch):
+        calls = []
+        for name in ("sampling_bounds", "riesz_bounds"):
+            original = getattr(verify, name)
+
+            def spy(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "mode,extra,expected",
+        [
+            ("sampling", ("--d", "1"), "sampling_bounds"),
+            ("bessel", (), "sampling_bounds"),
+            ("riesz", ("--d", "0.5"), "riesz_bounds"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_construct(self, capsys, bound_calls, mode, extra, expected, fmt):
+        code, _, _ = run_cli(
+            capsys, "construct", "--spectrum", '{"m":16,"cells":[0,3,5,9]}', "--mode", mode,
+            "--format", fmt, *extra,
+        )
+        assert code == 0
+        assert bound_calls == [expected]
+
+    def test_sweep_rows(self, capsys, bound_calls):
+        code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--format", "json")
+        assert code == 0
+        assert bound_calls == ["sampling_bounds"] * len(json.loads(out))

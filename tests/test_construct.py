@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import expframes as ef
@@ -116,6 +117,24 @@ class TestBuildRiesz:
         g = ef.GridSpectrum(16, (0, 2, 4, 6, 8, 10, 12, 14))
         rep = ef.build_riesz(g, 0.25)
         assert len(rep.sampling_set.residues) >= math.ceil(0.75 * g.n)
+
+
+class TestLargeGrid:
+    """Health at large m and small n: every builder certifies."""
+
+    @pytest.mark.parametrize("m,n", [(4096, 8), (2048, 32)])
+    def test_builders_certify(self, m, n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(59, m, n)))
+        g = ef.GridSpectrum(m, tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False))))
+        sampling = ef.build_sampling(g, 1.0)
+        assert sampling.certified_lower >= ef.lower_certificate_constant(1.0) * n / m
+        assert len(sampling.sampling_set.residues) <= 2 * n
+        bessel = ef.build_bessel(g)
+        assert len(bessel.sampling_set.residues) == n + 1
+        assert bessel.certified_lower > 0.0
+        riesz = ef.build_riesz(g, 0.25)
+        assert riesz.certified_lower >= ef.riesz_floor_constant(0.25) * n / m
+        assert len(riesz.sampling_set.residues) >= math.ceil(0.75 * n)
 
 
 class TestExhaustGeneral:

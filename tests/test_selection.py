@@ -145,7 +145,12 @@ class TestBssSelect:
                 margins.append(lower - upper)
                 upper_scores.append(upper)
                 lower_scores.append(lower)
-            best = int(np.argmax(margins))
+            # the engine's tie rule: margins within TIE_RTOL of the best, on
+            # the scale of the scores they are differences of, go to the
+            # smallest index (step 0 is an exact m-way tie)
+            scale = max(abs(x) + abs(y) for x, y in zip(upper_scores, lower_scores))
+            cutoff = max(margins) - selection.TIE_RTOL * scale
+            best = next(i for i, margin in enumerate(margins) if margin >= cutoff)
             assert best == step.index
             t = 2.0 / (upper_scores[best] + lower_scores[best])
             assert math.isclose(t, step.weight, rel_tol=1e-9)
@@ -384,8 +389,7 @@ def replay_upper(sys, res):
     a = np.zeros((sys.n, sys.n), dtype=complex)
     chosen = []
     for step in res.barrier_log:
-        spec = ef.hermitian_eig(a)
-        feasible, phi = selection._upper_scores(spec, sys.vectors.T, step.u)
+        feasible, phi = selection._upper_scores(sys, *np.linalg.eigh(a), step.u)
         o_feasible, o_phi = oracle_upper_scores(a, sys.vectors, step.u)
         free = [i for i in range(sys.m) if i not in chosen]
         assert list(feasible[free]) == list(o_feasible[free])
@@ -486,6 +490,35 @@ class TestClosedFormScoring:
                 assert abs(f - oracle_riesz_floor(sys, chosen, i)) <= 1e-10
 
 
+class TestFourierRoute:
+    @pytest.mark.parametrize("m,n", [(4, 1), (32, 31), (256, 64), (1024, 176), (4096, 8)])
+    def test_grid_forms_match_generic_route(self, m, n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(53, m, n)))
+        cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
+        grid = fourier_system(ef.GridSpectrum(m, cells))
+        generic = ef.VectorSystem(grid.vectors)
+        assert grid.grid == (m, cells) and generic.grid is None
+        x = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        h1, h2 = x[0] + x[0].conj().T, x[1] + x[1].conj().T
+        for b in (h1, h1 + 1j * h2):
+            ref = generic.quad_forms(b)
+            assert np.abs(grid.quad_forms(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        # h1 + i h2 packs the two Hermitian families as real and imaginary parts
+        packed = grid.quad_forms(h1 + 1j * h2)
+        for part, h in ((packed.real, h1), (packed.imag, h2)):
+            ref = generic.quad_forms(h).real
+            assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_grid_mismatch_raises(self):
+        rows = fourier_system(ef.GridSpectrum(8, (0, 3, 5))).vectors
+        for grid in ((8, (0, 3, 6)), (8, (0, 5, 3)), (16, (0, 3, 5)), (8, (0, 3)), (8, (0, 3, 8))):
+            with pytest.raises(ValueError):
+                ef.VectorSystem(rows, grid=grid)
+        with pytest.raises(ValueError):
+            ef.VectorSystem(rows.conj(), grid=(8, (0, 3, 5)))
+        assert ef.VectorSystem(rows, grid=(8, [0, 3, 5])).grid == (8, (0, 3, 5))
+
+
 class TestDeterministicTies:
     @pytest.mark.parametrize("i", range(8))
     def test_residue_zero_always_selected(self, i):
@@ -494,6 +527,33 @@ class TestDeterministicTies:
         rit = ef.rit_select(sys, (0.25, 0.5, 0.75)[i % 3])
         assert 0 in up.indices and 0 in rit.indices
         assert up.barrier_log[0].index == 0 and rit.barrier_log[0].index == 0
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_bss_residue_zero_always_selected(self, i):
+        # A = 0 and equal norms make step 0 an exact m-way tie; the dense
+        # route's rounding spreads those scores, so it must apply the rule too
+        sys = seeded_fourier(i, (8, 16, 32, 64)[i % 4])
+        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        for system in (sys, dense):
+            weighted = ef.bss_select(system, (1.5, 2.0, 3.0)[i % 3])
+            unweighted = ef.bss_unweighted(system, (0.5, 1.0, 2.0)[i % 3])
+            assert 0 in weighted.indices and 0 in unweighted.indices
+            assert weighted.barrier_log[0].index == 0 and unweighted.barrier_log[0].index == 0
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_routes_pick_the_same_sets(self, i):
+        # the grid and dense routes round differently; the tie rule absorbs it
+        sys = seeded_fourier(i, (8, 16, 32, 64)[i % 4])
+        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        q, k = (1.5, 2.0, 3.0)[i % 3], min(sys.n + 1, sys.m)
+        assert ef.bss_select(sys, q).indices == ef.bss_select(dense, q).indices
+        assert ef.upper_select(sys, k).indices == ef.upper_select(dense, k).indices
+
+    def test_pick_scale_sets_the_tolerance(self):
+        # margins are differences of scores near 1e3: a 1e-11 gap is rounding
+        margins = np.array([-1e-11, 0.0, -1.0])
+        assert selection._pick(margins, True) == 1
+        assert selection._pick(margins, True, 2e3) == 0
 
     def test_pick_prefers_smallest_index_within_tolerance(self):
         scores = np.array([1.0 + 5e-13, 1.0, 1.0 - 5e-13, 2.0])
@@ -516,14 +576,16 @@ class TestRitSize:
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
-    Each greedy step decomposes at most once and each engine certifies once
-    more (Riesz: plus the top eigenvalue that sizes k), within the bound
-    steps + restarts + 2.  No candidate gets its own eigvalsh call.
+    Every decomposition goes through np.linalg.eigh: one bare call per greedy
+    step, and inside hermitian_eig for the certificates (Riesz: plus the top
+    eigenvalue that sizes k), within the bound steps + restarts + 2.  Only
+    the certificates use hermitian_eig, and no candidate gets its own
+    eigvalsh call.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"eig": 0, "eigvalsh": 0, "steps": 0, "runs": 0}
+        tally = {"eig": 0, "eigh": 0, "eigvalsh": 0, "steps": 0, "runs": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -533,9 +595,10 @@ class TestWorkCount:
             return wrapped
 
         monkeypatch.setattr(selection, "hermitian_eig", counting("eig", selection.hermitian_eig))
-        monkeypatch.setattr(
-            selection.np.linalg, "eigvalsh", counting("eigvalsh", selection.np.linalg.eigvalsh)
-        )
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(
+                selection.np.linalg, name, counting(name, getattr(selection.np.linalg, name))
+            )
         monkeypatch.setattr(selection, "_upper_scores", counting("steps", selection._upper_scores))
         monkeypatch.setattr(selection, "_upper_run", counting("runs", selection._upper_run))
         return tally
@@ -549,11 +612,19 @@ class TestWorkCount:
         ef.upper_select(sys, k)
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] <= counts["steps"] + restarts + 2
+        assert counts["eig"] == 1
+        assert counts["eigh"] <= counts["steps"] + restarts + 2
         if case == "restart":
             assert restarts >= 1
 
     def test_rit_select(self, counts):
         res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] <= len(res.barrier_log) + 2
+        assert counts["eig"] == 2
+        assert counts["eigh"] <= len(res.barrier_log) + 2
+
+    def test_bss_select(self, counts):
+        res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)
+        assert counts["eigvalsh"] == 0
+        assert counts["eig"] == 1
+        assert counts["eigh"] <= len(res.barrier_log) + 2
