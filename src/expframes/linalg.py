@@ -3,9 +3,11 @@
 Everything is numpy-backed.  Eigenvalue certificates are always recomputed
 from a fresh Hermitian eigendecomposition rather than maintained by rank-one
 updates, which removes a whole class of drift bugs from the certified
-numbers.  Rank-one formulas are used only for scoring: the selection engines
-rank the candidates of a greedy step in closed form from that step's one
-bare np.linalg.eigh, and certify the final selection afresh with
+numbers.  Rank-one updates are used only for scoring: the two-sided and
+upper greedy loops carry their decomposition from step to step by one real
+eigh per rank-one term, the Riesz loop takes one bare np.linalg.eigh per
+step, and each loop ranks its candidates in closed form from that
+decomposition.  Every engine certifies its final selection afresh with
 hermitian_eig.  The scores depend on spectral projections only, so the
 eigenvector phase convention of hermitian_eig matters only to its callers.
 """
@@ -22,20 +24,25 @@ HERMITIAN_RTOL = 1e-12
 EIG_RESIDUAL_RTOL = 1e-10
 
 
+def _index_array(indices) -> np.ndarray:
+    if isinstance(indices, range):
+        return np.arange(indices.start, indices.stop, indices.step, dtype=np.int64)
+    return np.fromiter(indices, dtype=np.int64)
+
+
 def dft_submatrix(m: int, row_set, col_set) -> np.ndarray:
     """Submatrix of the order-m Fourier matrix, entries exp(2i*pi*j*r/m).
 
     Rows are indexed by j in row_set, columns by r in col_set; both must be
     duplicate-free residues in {0, ..., m-1}.
     """
-    rows = np.asarray(list(row_set), dtype=np.int64)
-    cols = np.asarray(list(col_set), dtype=np.int64)
+    rows, cols = _index_array(row_set), _index_array(col_set)
     for name, idx in (("row", rows), ("col", cols)):
         if idx.size == 0:
             raise ValueError(f"{name} set is empty")
         if idx.min() < 0 or idx.max() >= m:
             raise ValueError(f"{name} residue out of range [0, {m - 1}]")
-        if np.unique(idx).size != idx.size:
+        if np.bincount(idx, minlength=m).max() > 1:
             raise ValueError(f"duplicate {name} residues")
     # Phases reduced mod m stay below 2*pi, so entries are accurate to a few
     # ulps at any m; the m roots of unity are computed once and gathered.

@@ -14,15 +14,18 @@ Four selectors over a finite system {v_i} in complex n-space:
 * upper_select    -- upper-barrier greedy picking exactly k rows with a small
                      certified top eigenvalue (Bessel-type bound).
 
-The greedy loops decompose once per step with a bare np.linalg.eigh and
-score every candidate in closed form from that one decomposition (barrier
-shifts for the two-sided engine, Sherman-Morrison for the upper potential, a
-secular equation for the bordered Gram floor).  The scores depend only on
-the spectral projections, not on eigenvector phases, and only steer the
-greedy.  The two-sided and upper engines read their scores as quadratic
-forms of one n x n matrix (VectorSystem.quad_forms), which a Fourier grid
-system evaluates with one FFT.  Every engine recomputes its certificate from
-a fresh hermitian_eig of the reassembled selection and hard-aborts if the
+The greedy loops keep one eigendecomposition per step and score every
+candidate in closed form from it (barrier shifts for the two-sided engine,
+Sherman-Morrison for the upper potential, a secular equation for the
+bordered Gram floor).  The two-sided and upper engines add one rank-one term
+per step and update their decomposition by one real eigh (_eig_update)
+instead of decomposing the running sum; the Riesz engine decomposes its
+growing Gram with a bare np.linalg.eigh.  The scores depend only on the
+spectral projections, not on eigenvector phases, and only steer the greedy.
+The two-sided and upper engines read their scores as quadratic forms of one
+n x n matrix (VectorSystem.quad_forms), which a Fourier grid system
+evaluates with one FFT.  Every engine recomputes its certificate from a
+fresh hermitian_eig of the reassembled selection and hard-aborts if the
 certificate fails; bounds are never emitted unverified.
 brute_force_best is the exhaustive oracle for small instances.
 """
@@ -53,9 +56,10 @@ EQUAL_NORM_RTOL = 1e-10
 FEASIBILITY_SLACK = 1e-9
 RATIO_SLACK = 1e-9
 # Greedy engines: candidate scores within this relative distance of the best
-# (two-sided engine: margins, relative to the largest |U| + |L|) are ties,
-# broken to the smallest index.  It sits well above the ~1e-14 accuracy of
-# the closed-form scores, so rounding never picks a winner.
+# are ties, broken to the smallest index.  The two-sided engine's margins are
+# differences of scores, so its scale is the largest |U| + |L| plus the
+# scores' sensitivity to eigenvalue rounding (see bss_select); without that
+# term the margins of an exact tie were seen 1.8e-12 of |U| + |L| apart.
 TIE_RTOL = 1e-12
 # Riesz secular solver: Gram eigenvalues this close (relative) to the
 # smallest share one pole, and the iteration cap (a few iterations is usual).
@@ -269,15 +273,23 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     accumulates and |indices| counts distinct picks.
 
     Ties: a candidate's margin L - U is a difference, so its rounding scales
-    with the scores, not with the margin.  Margins within
-    TIE_RTOL * max_i(|U(v_i)| + |L(v_i)|) of the best are tied, and the
-    smallest index among them wins.  Step 0 is an exact m-way tie on every
-    equal-norm system, so row 0 is always selected.
+    with the scores, not with the margin.  An eigenvalue's rounding error
+    is about eps * max|lam|, and max|lam| grows with the weights; it moves
+    a score by up to eps times
 
-    Per step the running sum is decomposed once, A = U diag(lam) U*, and
-    both scores of every candidate are the real and imaginary parts of the
-    quadratic forms of U diag(g_u + i g_l) U*: one eigendecomposition, one
-    n x n product, then O(n^2 + m log m) on a Fourier grid system.
+        s = max_i ||v_i||^2 * max|lam| * max_k (|g_u'(lam_k)| + |g_l'(lam_k)|).
+
+    Margins within TIE_RTOL * (max_i(|U(v_i)| + |L(v_i)|) + s) of the best
+    are tied, and the smallest index among them wins.  Step 0 is an exact
+    m-way tie on every equal-norm system, so row 0 is always selected.
+
+    The loop keeps A = U diag(lam) U* and updates it by one rank-one step per
+    pick (_eig_update); both scores of every candidate are the real and
+    imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
+    step costs one real n x n eigh, two n x n products, then
+    O(n^2 + m log m) on a Fourier grid system.  The ratio pre-check and the
+    weight scale read the loop's last eigenvalues; the certified extremes
+    come from a fresh hermitian_eig of the rescaled weighted sum.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently).
@@ -299,9 +311,9 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     eps_u = (sq - 1.0) / (sq * (sq + 1.0))
     lower, upper = -n * sq, n / eps_u
 
-    a = np.zeros((n, n), dtype=np.complex128)
-    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # eigh of a = 0
+    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # A = 0
     phi_u, phi_l = n / upper, -n / lower
+    norm2_max = float(np.max(np.einsum("ij,ij->i", sys.vectors, sys.vectors.conj()).real))
     weights: dict[int, float] = {}
     log: list[BarrierStep] = []
 
@@ -324,7 +336,12 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
         forms = sys.quad_forms((vecs * (g_u + 1j * g_l)) @ vecs.conj().T)
         score_u, score_l = forms.real, forms.imag
         margin = score_l - score_u
-        chosen = _pick(margin, True, float(np.max(np.abs(score_u) + np.abs(score_l))))
+        # Tie scale: the size of the scores plus their sensitivity s to the
+        # eigenvalues' rounding (see "Ties" above).
+        dg_u = 2.0 * inv_u**3 / denom_u + inv_u**2
+        dg_l = -2.0 * inv_l**3 / denom_l + inv_l**2
+        sens = norm2_max * max(abs(lam[0]), abs(lam[-1])) * float(np.max(dg_u + np.abs(dg_l)))
+        chosen = _pick(margin, True, float(np.max(np.abs(score_u) + np.abs(score_l))) + sens)
         slack = FEASIBILITY_SLACK * max(1.0, abs(score_u[chosen]), abs(score_l[chosen]))
         if margin[chosen] < -slack:
             raise NoFeasibleCandidate(
@@ -334,12 +351,9 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
         if not (t > 0.0 and math.isfinite(t)):
             raise NoFeasibleCandidate(f"non-positive weight at step {step}")
 
-        v = sys.vectors[chosen]
-        a = a + t * np.outer(v, v.conj())
-        a = 0.5 * (a + a.conj().T)
         weights[chosen] = weights.get(chosen, 0.0) + t
         upper, lower = u_next, l_next
-        lam, vecs = np.linalg.eigh(a)
+        lam, vecs = _eig_update(lam, vecs, sys.vectors[chosen], t)
         phi_u = float(np.sum(1.0 / (upper - lam)))
         phi_l = float(np.sum(1.0 / (lam - lower)))
         log.append(
@@ -544,11 +558,12 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     row 0 is always selected.  If a step has no feasible candidate, u0 is
     doubled and the run restarts.
 
-    Per step the running sum A is decomposed once and every candidate is
-    scored in closed form (_upper_scores): one n x n eigendecomposition, one
-    n x n product, then O(n^2 + m log m) on a Fourier grid system (O(n^2 m)
-    on any other).  The reported lambda_max is recomputed from a fresh
-    eigendecomposition of the final unweighted sum.
+    Per step the decomposition of the running sum A is updated by the last
+    pick (_eig_update) and every candidate is scored in closed form
+    (_upper_scores): one real n x n eigh, two n x n products, then
+    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).  The
+    reported lambda_max is recomputed from a fresh eigendecomposition of the
+    final unweighted sum.
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -601,14 +616,13 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
     n = sys.n
     delta = u0 / k
     u = u0
-    a = np.zeros((n, n), dtype=np.complex128)
-    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # eigh of a = 0
+    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # A = 0
     free = np.ones(sys.m, dtype=bool)
     picks: list[tuple] = []
     extremes: list[tuple[float, float]] = []
     for step in range(k):
         if step:
-            lam, vecs = np.linalg.eigh(a)
+            lam, vecs = _eig_update(lam, vecs, sys.vectors[best], 1.0)
             extremes.append((float(lam[0]), float(lam[-1])))
         u_next = u + delta
         feasible, phi = _upper_scores(sys, lam, vecs, u_next)
@@ -617,13 +631,32 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
         if pos < 0:
             return None
         best = int(cand[pos])
-        v = sys.vectors[best]
-        a = a + np.outer(v, v.conj())
-        a = 0.5 * (a + a.conj().T)
         free[best] = False
         u = u_next
         picks.append((best, u, None, float(phi[best])))
     return picks, extremes
+
+
+def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
+    """Eigendecomposition of U diag(lam) U* + t vv* from lam and U = vecs.
+
+    With z = U* v and the diagonal phase D = diag(z/|z|) (1 where z_k = 0),
+    the sum is (U D) (diag(lam) + t |z||z|^T) (U D)*, whose middle factor is
+    real symmetric.  One real eigh of it gives lam' and Q, and U' = (U D) Q.
+    Costs one real n x n eigh plus one real n x 2n product.
+    """
+    z = (v.conj() @ vecs).conj()
+    mod = np.abs(z)
+    zero = mod == 0.0
+    phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
+    w = math.sqrt(t) * mod
+    middle = w[:, None] * w
+    middle.flat[:: lam.size + 1] += lam
+    lam_new, q = np.linalg.eigh(middle)
+    # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
+    # real and imaginary parts, which Q^T leaves apart.
+    rotated = np.ascontiguousarray((vecs * phase).T)
+    return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
 
 
 def _barrier_log(picks, extremes) -> tuple[BarrierStep, ...]:

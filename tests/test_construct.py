@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expframes as ef
 from expframes.construct import fourier_system
 from expframes.errors import KTooLarge, SpectrumFormatError
+from expframes.selection import safe_ceil
 
 
 class TestCanonicalExample:
@@ -135,6 +138,36 @@ class TestLargeGrid:
         riesz = ef.build_riesz(g, 0.25)
         assert riesz.certified_lower >= ef.riesz_floor_constant(0.25) * n / m
         assert len(riesz.sampling_set.residues) >= math.ceil(0.75 * n)
+
+
+@st.composite
+def grid_spectra(draw):
+    m = draw(st.integers(min_value=1, max_value=32))
+    cells = draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+    return ef.GridSpectrum(m, tuple(cells))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(grid_spectra(), st.floats(min_value=0.01, max_value=20.0))
+def test_builders_input_contract(g, d):
+    """Every builder certifies within its size cap or floor, or refuses a
+    sampling request whose step budget ceil((1+d)n) exceeds 10m; no valid
+    input ends in CertificateFailed or NoFeasibleCandidate."""
+    m, n = g.m, g.n
+    if math.ceil((1.0 + d) * n) > 10 * m:
+        with pytest.raises(ValueError, match="exceeds the 10\\*m cap"):
+            ef.build_sampling(g, d)
+    else:
+        sampling = ef.build_sampling(g, d)
+        assert len(sampling.sampling_set.residues) <= safe_ceil((1.0 + d) * n)
+        assert sampling.certified_lower >= ef.lower_certificate_constant(d) * n / m
+    bessel = ef.build_bessel(g)
+    assert len(bessel.sampling_set.residues) == min(n + 1, m)
+    assert 0.0 <= bessel.certified_lower <= bessel.certified_upper
+    if d < 1.0:
+        riesz = ef.build_riesz(g, d)
+        assert len(riesz.sampling_set.residues) >= safe_ceil((1.0 - d) * n)
+        assert riesz.certified_lower >= ef.riesz_floor_constant(d) * n / m
 
 
 class TestExhaustGeneral:

@@ -549,6 +549,18 @@ class TestDeterministicTies:
         assert ef.bss_select(sys, q).indices == ef.bss_select(dense, q).indices
         assert ef.upper_select(sys, k).indices == ef.upper_select(dense, k).indices
 
+    @pytest.mark.parametrize("q", [1.01, 1.02])
+    def test_bss_tie_scale_covers_eigenvalue_error(self, q):
+        # after row 0, A = t v0 v0* has rank one and rows 1, 3, 4, 5, 7 share
+        # |v_j* v0|^2: an exact 5-way tie.  Eigenvalue rounding at the scale
+        # of the weight t spreads the computed margins by ~1e-12 of the
+        # scores, so the tie scale must cover that error too
+        sys = fourier_system(ef.GridSpectrum(8, (0, 1, 5)))
+        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        for system in (sys, dense):
+            log = ef.bss_select(system, q).barrier_log
+            assert [step.index for step in log[:3]] == [0, 1, 4]
+
     def test_pick_scale_sets_the_tolerance(self):
         # margins are differences of scores near 1e3: a 1e-11 gap is rounding
         margins = np.array([-1e-11, 0.0, -1.0])
@@ -561,6 +573,63 @@ class TestDeterministicTies:
         assert selection._pick(scores, maximize=True) == 3
         assert selection._pick(np.array([1.0, 1.0 + 1e-9]), maximize=True) == 1
         assert selection._pick(np.array([]), maximize=True) == -1
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def eig_update_case(case, n=8):
+    """(lam, U, v): a decomposition of A and the vector of the rank-one step."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(61, n)))
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if case == "zero-start":
+        return np.zeros(n), np.eye(n, dtype=complex), v
+    if case == "repeated":
+        lam = np.repeat([0.0, 1.0, 2.5], [3, 3, n - 6])
+        return lam, random_unitary(rng, n), v
+    # zero coordinates: U is a phase diagonal, so z = U* v is exactly 0
+    # wherever v is, both inside and outside a repeated eigenvalue
+    lam = np.repeat([0.5, 2.0], [n // 2, n - n // 2])
+    v[[0, 1, n - 1]] = 0.0
+    return lam, np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n))), v
+
+
+class TestEigUpdate:
+    @pytest.mark.parametrize("case", ["zero-start", "repeated", "zero-coordinates"])
+    @pytest.mark.parametrize("t", [1.0, 1e3])
+    def test_decomposes_the_updated_sum(self, case, t):
+        lam, vecs, v = eig_update_case(case)
+        ref = (vecs * lam) @ vecs.conj().T + t * np.outer(v, v.conj())
+        new_lam, new_vecs = selection._eig_update(lam, vecs, v, t)
+        assert np.all(np.diff(new_lam) >= 0.0)
+        residual = (new_vecs * new_lam) @ new_vecs.conj().T - ref
+        assert np.linalg.norm(residual, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+        unitarity = new_vecs.conj().T @ new_vecs - np.eye(lam.size)
+        assert np.abs(unitarity).max() <= 1e-13
+
+    def test_bss_loop_spectrum_matches_fresh_eigvalsh(self, monkeypatch):
+        # 128 rank-one updates at (256, 64) against one eigvalsh of the
+        # weighted sum reassembled from the log
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(67, 256, 64)))
+        sys = fourier_system(ef.GridSpectrum(256, tuple(sorted(rng.choice(256, 64, replace=False)))))
+        updates = []
+        original = selection._eig_update
+
+        def recording(*args):
+            updates.append(original(*args))
+            return updates[-1]
+
+        monkeypatch.setattr(selection, "_eig_update", recording)
+        res = ef.bss_select(sys, 2.0)
+        assert len(updates) == len(res.barrier_log) == 128
+        a = np.zeros((64, 64), dtype=complex)
+        for step in res.barrier_log:
+            v = sys.vectors[step.index]
+            a += step.weight * np.outer(v, v.conj())
+        ref = np.linalg.eigvalsh(a)
+        assert np.allclose(updates[-1][0], ref, rtol=1e-12, atol=0.0)
 
 
 class TestRitSize:
@@ -576,20 +645,25 @@ class TestRitSize:
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
-    Every decomposition goes through np.linalg.eigh: one bare call per greedy
-    step, and inside hermitian_eig for the certificates (Riesz: plus the top
-    eigenvalue that sizes k), within the bound steps + restarts + 2.  Only
-    the certificates use hermitian_eig, and no candidate gets its own
-    eigvalsh call.
+    Every decomposition goes through np.linalg.eigh: one per greedy step, and
+    inside hermitian_eig for the certificates (Riesz: plus the top eigenvalue
+    that sizes k).  The two-sided and upper loops update their decomposition
+    by one real eigh per rank-one step (_eig_update), so their only complex
+    eigh calls are the certificates' hermitian_eig.  Only the certificates
+    use hermitian_eig, and no candidate gets its own eigvalsh call.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"eig": 0, "eigh": 0, "eigvalsh": 0, "steps": 0, "runs": 0}
+        tally = dict.fromkeys(
+            ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "steps", "runs"), 0
+        )
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
                 tally[key] += 1
+                if key == "eigh":
+                    tally["eigh_complex" if np.iscomplexobj(args[0]) else "eigh_real"] += 1
                 return fn(*args, **kwargs)
 
             return wrapped
@@ -612,8 +686,8 @@ class TestWorkCount:
         ef.upper_select(sys, k)
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == 1
-        assert counts["eigh"] <= counts["steps"] + restarts + 2
+        assert counts["eig"] == counts["eigh_complex"] == 1
+        assert counts["eigh_real"] <= counts["steps"] + restarts
         if case == "restart":
             assert restarts >= 1
 
@@ -626,5 +700,5 @@ class TestWorkCount:
     def test_bss_select(self, counts):
         res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == 1
-        assert counts["eigh"] <= len(res.barrier_log) + 2
+        assert counts["eig"] == counts["eigh_complex"] == 1
+        assert counts["eigh_real"] <= len(res.barrier_log)
