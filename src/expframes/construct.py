@@ -146,8 +146,8 @@ def canonical_example(m: int, j: int) -> SamplingSet:
 def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:
     """Certified sampling set for the grid spectrum g at oversampling 1+d.
 
-    Selects residues with the unweighted two-sided engine and recomputes the
-    frame bounds through the DFT-submatrix route.  Guarantees
+    Selects residues with the unweighted two-sided engine and certifies the
+    frame bounds once, through verify.sampling_bounds.  Guarantees
     |J| <= ceil((1+d) n), lower bound >= C(d) * n/m with
     C(d) = lower_certificate_constant(d).
     """
@@ -212,8 +212,9 @@ def build_bessel(g: GridSpectrum, k: Optional[int] = None) -> ConstructionReport
 def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
     """Certified Riesz set over the cell union omega, keeping (1-d) density.
 
-    Selects residues with the restricted-invertibility engine and recomputes
-    the Riesz bounds of the exponential system over omega.  Guarantees
+    Selects residues with the restricted-invertibility engine and certifies
+    the Riesz bounds of the exponential system over omega once, through
+    verify.riesz_bounds.  Guarantees
     |J| >= ceil((1-d) n) and lower bound >= (1-sqrt(1-d))^2 * n/m.
     """
     result = rit_select(fourier_system(omega), d)

@@ -39,7 +39,12 @@ class NoFeasibleCandidate(ExpframesError):
 
 
 class CertificateFailed(ExpframesError):
-    """A selection engine's post-hoc eigenvalue certificate does not hold."""
+    """A built set misses its guarantee.
+
+    Raised by the builders when a bound computed by expframes.verify falls
+    below its target or the set breaks its size cap or floor, and by an
+    engine whose own loop already shows the guarantee cannot hold.
+    """
 
 
 class InvalidD(ExpframesError):

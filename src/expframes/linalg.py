@@ -1,15 +1,16 @@
 """Dense complex linear algebra for the selection and verification layers.
 
-Everything is numpy-backed.  Eigenvalue certificates are always recomputed
-from a fresh Hermitian eigendecomposition rather than maintained by rank-one
-updates, which removes a whole class of drift bugs from the certified
-numbers.  Rank-one updates are used only for scoring: the two-sided and
-upper greedy loops carry their decomposition from step to step by one real
-eigh per rank-one term, the Riesz loop takes one bare np.linalg.eigh per
-step, and each loop ranks its candidates in closed form from that
-decomposition.  Every engine certifies its final selection afresh with
-hermitian_eig.  The scores depend on spectral projections only, so the
-eigenvector phase convention of hermitian_eig matters only to its callers.
+Everything is numpy-backed.  Certified bounds are always computed from a
+fresh Hermitian eigendecomposition (hermitian_eig) rather than maintained by
+rank-one updates, which removes a whole class of drift bugs from the
+certified numbers; expframes.verify is the one place that computes them.
+Rank-one updates are used only for scoring: the two-sided and upper greedy
+loops carry their decomposition from step to step by one real eigh per
+rank-one term, the Riesz loop takes one bare np.linalg.eigh per step, and
+each loop ranks its candidates in closed form from that decomposition.  The
+only hermitian_eig call in the engines sizes the Riesz selection.  The
+scores depend on spectral projections only, so the eigenvector phase
+convention of hermitian_eig matters only to its callers.
 """
 
 from __future__ import annotations

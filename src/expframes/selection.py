@@ -6,27 +6,27 @@ Four selectors over a finite system {v_i} in complex n-space:
                      selected weighted sum has condition ratio at most the
                      twice-Ramanujan bound ((sqrt(q)+1)/(sqrt(q)-1))^2 at
                      oversampling q, with |J| <= ceil(q*n).
-* bss_unweighted  -- drops the weights for equal-norm systems and certifies
-                     an unweighted eigenvalue floor C(d) * n/m.
+* bss_unweighted  -- drops the weights for equal-norm systems; the
+                     unweighted sum keeps the eigenvalue floor C(d) * n/m.
 * rit_select      -- restricted-invertibility style lower-barrier greedy:
                      picks ceil((1-d)*m/||T||^2) rows whose Gram stays above
                      (1-sqrt(1-d))^2 * n/m.
 * upper_select    -- upper-barrier greedy picking exactly k rows with a small
-                     certified top eigenvalue (Bessel-type bound).
+                     top eigenvalue (Bessel-type bound).
 
 The greedy loops keep one eigendecomposition per step and score every
 candidate in closed form from it (barrier shifts for the two-sided engine,
 Sherman-Morrison for the upper potential, a secular equation for the
-bordered Gram floor).  The two-sided and upper engines add one rank-one term
-per step and update their decomposition by one real eigh (_eig_update)
-instead of decomposing the running sum; the Riesz engine decomposes its
-growing Gram with a bare np.linalg.eigh.  The scores depend only on the
-spectral projections, not on eigenvector phases, and only steer the greedy.
-The two-sided and upper engines read their scores as quadratic forms of one
+bordered Gram floor).  Each step picks, then updates or decomposes, then
+logs.  The two-sided and upper engines add one rank-one term per step and
+update their decomposition by one real eigh (_eig_update) instead of
+decomposing the running sum; the Riesz engine decomposes its growing Gram
+with a bare np.linalg.eigh.  The scores depend only on the spectral
+projections, not on eigenvector phases, and only steer the greedy.  The
+two-sided and upper engines read their scores as quadratic forms of one
 n x n matrix (VectorSystem.quad_forms), which a Fourier grid system
-evaluates with one FFT.  Every engine recomputes its certificate from a
-fresh hermitian_eig of the reassembled selection and hard-aborts if the
-certificate fails; bounds are never emitted unverified.
+evaluates with one FFT.  The engines only select: they certify nothing, and
+the bounds of a built set are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ from .linalg import hermitian_eig
 PARSEVAL_RTOL = 1e-10
 EQUAL_NORM_RTOL = 1e-10
 # Forgiveness for floating-point noise in the U <= L feasibility comparison;
-# certificates are still checked exactly afterwards.
+# the builders' bounds are still recomputed exactly afterwards.
 FEASIBILITY_SLACK = 1e-9
 RATIO_SLACK = 1e-9
 # Greedy engines: candidate scores within this relative distance of the best
@@ -219,20 +219,17 @@ class BarrierStep:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen index set with certified extreme eigenvalues.
+    """Chosen index set, weights and the engine's parameter.
 
     weights is empty for the unweighted engines, otherwise parallel to
-    indices.  lambda_min/lambda_max are recomputed post hoc from the
-    reassembled selection (the weighted sum for bss_select, the unweighted
-    sum for bss_unweighted and upper_select, the coefficient Gram for
-    rit_select).  barrier_log records the per-step trajectory; it is empty
-    when a degenerate shortcut returned the full index set.
+    indices.  No bound is carried: the builders certify a selection once,
+    through expframes.verify, and barrier_log holds only the loop's own
+    per-step trajectory.  barrier_log is empty when a degenerate shortcut
+    returned the full index set.
     """
 
     indices: tuple[int, ...]
     weights: tuple[float, ...]
-    lambda_min: float
-    lambda_max: float
     target_q: float
     barrier_log: tuple[BarrierStep, ...] = field(default=())
 
@@ -240,8 +237,6 @@ class SelectionResult:
         return {
             "indices": list(self.indices),
             "weights": list(self.weights),
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
             "q": self.target_q,
             "steps": [s.to_dict() for s in self.barrier_log],
         }
@@ -250,9 +245,7 @@ class SelectionResult:
 def _full_selection(sys: VectorSystem, q: float, weighted: bool) -> SelectionResult:
     """Degenerate regime: return every index (unit weights when weighted)."""
     idx = tuple(range(sys.m))
-    weights = tuple(1.0 for _ in idx) if weighted else ()
-    spec = hermitian_eig(sys.outer_sum(idx))
-    return SelectionResult(idx, weights, spec.lam_min, spec.lam_max, q)
+    return SelectionResult(idx, (1.0,) * sys.m if weighted else (), q)
 
 
 def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
@@ -269,8 +262,8 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
 
     keeps both potentials bounded and yields a final condition ratio of at
     most condition_ratio_bound(q).  Weights are rescaled at the end so the
-    certified lambda_min is 1.  Indices may be picked repeatedly; weight then
-    accumulates and |indices| counts distinct picks.
+    weighted sum's lambda_min is 1.  Indices may be picked repeatedly;
+    weight then accumulates and |indices| counts distinct picks.
 
     Ties: a candidate's margin L - U is a difference, so its rounding scales
     with the scores, not with the margin.  An eigenvalue's rounding error
@@ -287,21 +280,23 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     pick (_eig_update); both scores of every candidate are the real and
     imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
     step costs one real n x n eigh, two n x n products, then
-    O(n^2 + m log m) on a Fourier grid system.  The ratio pre-check and the
-    weight scale read the loop's last eigenvalues; the certified extremes
-    come from a fresh hermitian_eig of the rescaled weighted sum.
+    O(n^2 + m log m) on a Fourier grid system.  The ratio guard and the
+    weight scale read the loop's last eigenvalues; no bound is returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
-    numerical fault; the engine never relaxes the condition silently).
+    numerical fault; the engine never relaxes the condition silently), and
+    CertificateFailed if the loop's final ratio exceeds the bound.
     """
     if not sys.parseval:
         raise NotParseval("bss_select requires a Parseval system")
     if not q > 1.0:
         raise ValueError("oversampling q must exceed 1")
     m, n = sys.m, sys.n
+    # Compared before the ceiling, which overflows when q*n is infinite.
+    if q * n > 10 * m:
+        shown = math.ceil(q * n) if math.isfinite(q * n) else "inf"
+        raise ValueError(f"step budget ceil(q*n)={shown} exceeds the 10*m cap")
     steps = math.ceil(q * n)
-    if steps > 10 * m:
-        raise ValueError(f"step budget ceil(q*n)={steps} exceeds the 10*m cap")
     if n == m:
         # The identity is the unique Parseval completion; unit weights keep it.
         return _full_selection(sys, q, weighted=True)
@@ -376,11 +371,7 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
         raise CertificateFailed(f"condition ratio {lam_max / lam_min:.6g} exceeds {bound:.6g}")
     scale = 1.0 / lam_min
     indices = tuple(sorted(weights))
-    final_weights = tuple(weights[i] * scale for i in indices)
-    final = hermitian_eig(sys.outer_sum(indices, final_weights))
-    if final.lam_max / final.lam_min > bound * (1.0 + RATIO_SLACK):
-        raise CertificateFailed("rescaled certificate lost the ratio bound")
-    return SelectionResult(indices, final_weights, final.lam_min, final.lam_max, q, tuple(log))
+    return SelectionResult(indices, tuple(weights[i] * scale for i in indices), q, tuple(log))
 
 
 def bss_unweighted(sys: VectorSystem, d: float) -> SelectionResult:
@@ -388,24 +379,14 @@ def bss_unweighted(sys: VectorSystem, d: float) -> SelectionResult:
 
     Runs bss_select at q = 1+d and returns the same index set without
     weights.  Each weight is at most lambda_max * m/n, so the unweighted sum
-    inherits the floor lambda_min >= lower_certificate_constant(d) * n/m,
-    which is verified on the reassembled sum before returning.
+    inherits the floor lambda_min >= lower_certificate_constant(d) * n/m;
+    build_sampling checks that floor on the bounds verify computes.
     """
     if not d > 0.0:
         raise ValueError("d must be positive")
     if not sys.equal_norm:
         raise ValueError("bss_unweighted requires an equal-norm system")
-    weighted = bss_select(sys, 1.0 + d)
-    indices = weighted.indices
-    spec = hermitian_eig(sys.outer_sum(indices))
-    target = lower_certificate_constant(d) * sys.n / sys.m
-    if spec.lam_min < target:
-        raise CertificateFailed(
-            f"unweighted floor {spec.lam_min:.6g} below target {target:.6g}"
-        )
-    return SelectionResult(
-        indices, (), spec.lam_min, spec.lam_max, 1.0 + d, weighted.barrier_log
-    )
+    return replace(bss_select(sys, 1.0 + d), weights=())
 
 
 def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
@@ -421,34 +402,23 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     best count as tied, and the smallest index among them wins; step 0 is
     such a tie for every equal-norm system, so row 0 is always selected.
 
-    Per step the k_s x k_s Gram of the selection is decomposed once,
-    G = Q diag(lam) Q*, and every free candidate's floor is the lowest root
-    of its secular equation (_riesz_floors), so a step costs one small
-    eigendecomposition plus O((k_s^2 + n) * m) work for all m candidates.
-    The m x m Gram is never formed.  The certificate
-
-        lambda_min(Gram) >= (1-sqrt(1-d))^2 * n/m
-
-    is recomputed from a fresh eigendecomposition of the final Gram; the
-    engine aborts on failure.
+    Per step every free candidate's floor is the lowest root of its secular
+    equation (_riesz_floors) in the eigenbasis G = Q diag(lam) Q* of the
+    k_s x k_s Gram of the selection, which is decomposed once after each
+    pick; a step costs one small eigendecomposition plus
+    O((k_s^2 + n) * m) work for all m candidates.  The m x m Gram is never
+    formed.  The floor (1-sqrt(1-d))^2 * n/m of the final Gram is checked by
+    build_riesz, on the bounds verify computes.
     """
     if not (0.0 < d < 1.0):
         raise InvalidD(f"d must lie in (0, 1), got {d}")
     if not sys.equal_norm:
         raise ValueError("rit_select requires an equal-norm system")
     m, n = sys.m, sys.n
-    rho2 = n / m  # common squared row norm
-    target = riesz_floor_constant(d) * rho2
-
     if n == m:
-        result = _full_selection(sys, d, weighted=False)
-        gspec = hermitian_eig(sys.gram_of(result.indices))
-        if gspec.lam_min < target:
-            raise CertificateFailed(
-                f"Gram floor {gspec.lam_min:.6g} below target {target:.6g}"
-            )
-        return SelectionResult(result.indices, (), gspec.lam_min, gspec.lam_max, d)
+        return _full_selection(sys, d, weighted=False)
 
+    rho2 = n / m  # common squared row norm
     top = hermitian_eig(sys.outer_sum(range(m))).lam_max
     t_norm2 = top / rho2
     k = max(1, safe_ceil((1.0 - d) * m / t_norm2))
@@ -462,15 +432,12 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     cross = np.empty((k, m), dtype=np.complex128)
     free = np.ones(m, dtype=bool)
     chosen: list[int] = []
-    picks: list[tuple] = []
-    extremes: list[tuple[float, float]] = []
+    log: list[BarrierStep] = []
     for step in range(k):
         cand = np.flatnonzero(free)
         if step == 0:
             floors = norm2[cand]
         else:
-            lam, vecs = np.linalg.eigh(cross[:step, chosen])
-            extremes.append((float(lam[0]), float(lam[-1])))
             w2 = np.abs(vecs.conj().T @ cross[:step, cand]) ** 2
             floors = _riesz_floors(lam, w2, norm2[cand])
         pos = _pick(floors, maximize=True)
@@ -480,16 +447,11 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         free[best] = False
         chosen.append(best)
         cross[step] = vectors_c @ vectors[best]
-        picks.append((best, None, float(floors[pos]), None))
-
-    indices = tuple(sorted(chosen))
-    gspec = hermitian_eig(sys.gram_of(indices))
-    if gspec.lam_min < target:
-        raise CertificateFailed(
-            f"Gram floor {gspec.lam_min:.6g} below target {target:.6g}"
+        lam, vecs = np.linalg.eigh(cross[: step + 1, chosen])
+        log.append(
+            BarrierStep(step, None, float(floors[pos]), None, None, best, 1.0, float(lam[0]), float(lam[-1]))
         )
-    log = _barrier_log(picks, extremes + [(gspec.lam_min, gspec.lam_max)])
-    return SelectionResult(indices, (), gspec.lam_min, gspec.lam_max, d, log)
+    return SelectionResult(tuple(sorted(chosen)), (), d, tuple(log))
 
 
 def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -558,12 +520,10 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     row 0 is always selected.  If a step has no feasible candidate, u0 is
     doubled and the run restarts.
 
-    Per step the decomposition of the running sum A is updated by the last
-    pick (_eig_update) and every candidate is scored in closed form
-    (_upper_scores): one real n x n eigh, two n x n products, then
-    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).  The
-    reported lambda_max is recomputed from a fresh eigendecomposition of the
-    final unweighted sum.
+    Per step every candidate is scored in closed form (_upper_scores) and
+    the decomposition of the running sum A is updated by the pick
+    (_eig_update): one real n x n eigh, two n x n products, then
+    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -573,18 +533,13 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
 
     u0 = 2.0 * (n / m) * k
     for _ in range(64):
-        run = _upper_run(sys, k, u0)
-        if run is not None:
-            picks, extremes = run
+        log = _upper_run(sys, k, u0)
+        if log is not None:
             break
         u0 *= 2.0
     else:  # pragma: no cover - doubling always terminates at desk scale
         raise CertificateFailed("upper barrier restart budget exhausted")
-
-    indices = tuple(sorted(pick[0] for pick in picks))
-    spec = hermitian_eig(sys.outer_sum(indices))
-    log = _barrier_log(picks, extremes + [(spec.lam_min, spec.lam_max)])
-    return SelectionResult(indices, (), spec.lam_min, spec.lam_max, float(k), log)
+    return SelectionResult(tuple(sorted(step.index for step in log)), (), float(k), log)
 
 
 def _upper_scores(sys: VectorSystem, lam: np.ndarray, vecs: np.ndarray, u_next: float):
@@ -607,23 +562,17 @@ def _upper_scores(sys: VectorSystem, lam: np.ndarray, vecs: np.ndarray, u_next: 
 
 
 def _upper_run(sys: VectorSystem, k: int, u0: float):
-    """One upper-barrier pass from u0, or None when a step has no candidate.
+    """One upper-barrier pass from u0.
 
-    Returns the picks as (index, u, None, phi_u) and the extremes of the
-    running sum after every pick but the last, whose extremes the caller's
-    certificate supplies (see _barrier_log).
+    Returns its BarrierSteps, or None when a step has no feasible candidate.
     """
     n = sys.n
     delta = u0 / k
     u = u0
     lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # A = 0
     free = np.ones(sys.m, dtype=bool)
-    picks: list[tuple] = []
-    extremes: list[tuple[float, float]] = []
+    log: list[BarrierStep] = []
     for step in range(k):
-        if step:
-            lam, vecs = _eig_update(lam, vecs, sys.vectors[best], 1.0)
-            extremes.append((float(lam[0]), float(lam[-1])))
         u_next = u + delta
         feasible, phi = _upper_scores(sys, lam, vecs, u_next)
         cand = np.flatnonzero(feasible & free)
@@ -633,8 +582,11 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
         best = int(cand[pos])
         free[best] = False
         u = u_next
-        picks.append((best, u, None, float(phi[best])))
-    return picks, extremes
+        lam, vecs = _eig_update(lam, vecs, sys.vectors[best], 1.0)
+        log.append(
+            BarrierStep(step, u, None, float(phi[best]), None, best, 1.0, float(lam[0]), float(lam[-1]))
+        )
+    return tuple(log)
 
 
 def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
@@ -657,19 +609,6 @@ def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
     # real and imaginary parts, which Q^T leaves apart.
     rotated = np.ascontiguousarray((vecs * phase).T)
     return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
-
-
-def _barrier_log(picks, extremes) -> tuple[BarrierStep, ...]:
-    """BarrierSteps of an unweighted greedy from its picks (index, u, l, phi_u).
-
-    extremes[s] holds (lam_min, lam_max) after pick s: the loop's own
-    decomposition at the start of step s+1, and for the last pick the
-    engine's certificate, so no decomposition is made only for the log.
-    """
-    return tuple(
-        BarrierStep(step, u, l, phi_u, None, index, 1.0, lo, hi)
-        for step, ((index, u, l, phi_u), (lo, hi)) in enumerate(zip(picks, extremes))
-    )
 
 
 def _pick(scores: np.ndarray, maximize: bool, scale: Optional[float] = None) -> int:

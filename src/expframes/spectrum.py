@@ -100,7 +100,8 @@ def measure(g: GridSpectrum) -> Fraction:
 
 def complement(g: GridSpectrum) -> GridSpectrum:
     """Cell set of the complementary spectrum; measures add to 1."""
-    rest = tuple(r for r in range(g.m) if r not in set(g.cells))
+    used = set(g.cells)
+    rest = tuple(r for r in range(g.m) if r not in used)
     if not rest:
         raise EmptyComplement(f"spectrum already covers all {g.m} cells")
     return GridSpectrum(g.m, rest)
@@ -146,11 +147,19 @@ def quantize_outer(s: IntervalSet, m: int) -> GridSpectrum:
     return GridSpectrum(m, tuple(sorted(hit)))
 
 
+def _integer(x) -> int:
+    """x as an int; booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
     """Parse a JSON spectrum descriptor.
 
     Accepts {"m": int, "cells": [ints]} for a grid spectrum or
-    {"intervals": [[lo, hi], ...]} with radians in [0, 2*pi].
+    {"intervals": [[lo, hi], ...]} with radians in [0, 2*pi].  Booleans and
+    non-integral numbers are refused where an integer is expected.
     """
     obj = text_or_obj
     if isinstance(obj, (str, bytes)):
@@ -162,7 +171,7 @@ def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
         raise SpectrumFormatError("spectrum descriptor must be a JSON object")
     if "m" in obj and "cells" in obj:
         try:
-            return GridSpectrum(int(obj["m"]), tuple(int(r) for r in obj["cells"]))
+            return GridSpectrum(_integer(obj["m"]), tuple(_integer(r) for r in obj["cells"]))
         except (TypeError, ValueError) as exc:
             raise SpectrumFormatError(f"bad grid descriptor: {exc}") from exc
     if "intervals" in obj:
@@ -173,7 +182,10 @@ def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
         for item in raw:
             if not isinstance(item, Sequence) or len(item) != 2:
                 raise SpectrumFormatError("intervals must be [lo, hi] pairs")
-            pairs.append((float(item[0]), float(item[1])))
+            try:
+                pairs.append((float(item[0]), float(item[1])))
+            except (TypeError, ValueError) as exc:
+                raise SpectrumFormatError(f"bad interval endpoint: {exc}") from exc
         return IntervalSet(tuple(pairs))
     raise SpectrumFormatError(
         'descriptor needs either {"m", "cells"} or {"intervals"}'

@@ -141,7 +141,8 @@ def duality_check(g: GridSpectrum, lam: "SamplingSet") -> DualityReport:
     if lam.m != g.m:
         raise PeriodMismatch(f"set period {lam.m} != spectrum order {g.m}")
     b = sampling_bounds(g, lam).lower
-    rest = tuple(r for r in range(lam.m) if r not in set(lam.residues))
+    used = set(lam.residues)
+    rest = tuple(r for r in range(lam.m) if r not in used)
     if not rest:
         return DualityReport(b, math.inf, True, True, vacuous=True)
     a = riesz_bounds(complement(g), SamplingSet(lam.m, rest, "riesz")).lower

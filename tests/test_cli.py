@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -209,3 +210,37 @@ class TestOneCertification:
         code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--format", "json")
         assert code == 0
         assert bound_calls == ["sampling_bounds"] * len(json.loads(out))
+
+    @pytest.mark.parametrize(
+        "mode,name,d", [("sampling", "sampling_bounds", "1"), ("riesz", "riesz_bounds", "0.5")]
+    )
+    def test_bound_below_target_exits_1(self, capsys, monkeypatch, mode, name, d):
+        original = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args: dataclasses.replace(original(*args), lower=0.0)
+        )
+        code, out, err = run_cli(
+            capsys, "construct", "--spectrum", '{"m":16,"cells":[0,3,5,9]}', "--mode", mode,
+            "--d", d,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("certificate failure:")
+
+
+class TestHugeD:
+    """d so large that ceil((1+d)n) overflows is refused on the step cap."""
+
+    @pytest.mark.parametrize("d", ["inf", "1e308"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d"),
+            ("exhaust", "--spectrum", '{"m":8,"cells":[0,1]}', "--schedule", "8", "--d"),
+            ("sweep", "--m-list", "8", "--s-list", "1/4", "--d-list"),
+        ],
+        ids=["construct", "exhaust", "sweep"],
+    )
+    def test_exits_2(self, capsys, argv, d):
+        code, out, err = run_cli(capsys, *argv, d)
+        assert code == 2 and out == ""
+        assert "input error" in err and "exceeds the 10*m cap" in err

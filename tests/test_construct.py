@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
+from expframes import selection, verify
 from expframes.construct import fourier_system
-from expframes.errors import KTooLarge, SpectrumFormatError
+from expframes.errors import CertificateFailed, KTooLarge, SpectrumFormatError
 from expframes.selection import safe_ceil
 
 
@@ -120,6 +122,72 @@ class TestBuildRiesz:
         g = ef.GridSpectrum(16, (0, 2, 4, 6, 8, 10, 12, 14))
         rep = ef.build_riesz(g, 0.25)
         assert len(rep.sampling_set.residues) >= math.ceil(0.75 * g.n)
+
+
+class TestOneCertification:
+    """verify is the only certifier: one hermitian_eig per build, of the
+    final selection's Gram (Riesz: plus the call that sizes the selection)."""
+
+    @pytest.fixture
+    def eig_inputs(self, monkeypatch):
+        seen = []
+        original = ef.hermitian_eig
+
+        def spy(h):
+            seen.append(np.array(h))
+            return original(h)
+
+        monkeypatch.setattr(selection, "hermitian_eig", spy)
+        monkeypatch.setattr(verify, "hermitian_eig", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "kind,g,calls",
+        [
+            ("sampling", ef.GridSpectrum(16, (0, 3, 5, 9)), 1),
+            ("sampling", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 1),
+            ("sampling", ef.GridSpectrum(6, tuple(range(6))), 1),
+            ("bessel", ef.GridSpectrum(16, (0, 3, 5, 9)), 1),
+            ("bessel", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 1),
+            ("riesz", ef.GridSpectrum(16, (0, 3, 5, 9)), 2),
+            ("riesz", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 2),
+            ("riesz", ef.GridSpectrum(8, tuple(range(8))), 1),
+        ],
+    )
+    def test_one_decomposition_of_the_final_selection(self, eig_inputs, kind, g, calls):
+        if kind == "sampling":
+            rep = ef.build_sampling(g, 1.0)
+        elif kind == "bessel":
+            rep = ef.build_bessel(g)
+        else:
+            rep = ef.build_riesz(g, 0.5)
+        residues = rep.sampling_set.residues
+        if kind == "riesz":
+            final = ef.gram(ef.dft_submatrix(g.m, g.cells, residues) / math.sqrt(g.m))
+        else:
+            final = ef.gram(ef.dft_submatrix(g.m, residues, g.cells))
+        assert len(eig_inputs) == calls
+        assert np.array_equal(eig_inputs[-1], final)
+
+    @pytest.mark.parametrize("kind", ["sampling", "riesz"])
+    def test_bound_below_target_fails_the_build(self, monkeypatch, kind):
+        # the engines check no floor: verify's bound alone must fail a
+        # build that misses its target, even by one ulp
+        g, d = ef.GridSpectrum(16, (0, 3, 5, 9)), 0.5
+        if kind == "sampling":
+            name, build = "sampling_bounds", ef.build_sampling
+            target = ef.lower_certificate_constant(d) * g.n / g.m
+        else:
+            name, build = "riesz_bounds", ef.build_riesz
+            target = ef.riesz_floor_constant(d) * g.n / g.m
+        original = getattr(verify, name)
+
+        def below(*args):
+            return dataclasses.replace(original(*args), lower=math.nextafter(target, 0.0))
+
+        monkeypatch.setattr(verify, name, below)
+        with pytest.raises(CertificateFailed, match="below target"):
+            build(g, d)
 
 
 class TestLargeGrid:

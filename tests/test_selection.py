@@ -16,6 +16,16 @@ from expframes.errors import (
 )
 
 
+def fresh_spectrum(sys, res):
+    """hermitian_eig of a selection's (weighted) outer sum, from its indices alone."""
+    return ef.hermitian_eig(sys.outer_sum(res.indices, res.weights or None))
+
+
+def fresh_gram_spectrum(sys, res):
+    """hermitian_eig of the coefficient Gram of a Riesz selection."""
+    return ef.hermitian_eig(sys.gram_of(res.indices))
+
+
 def eig2_min(a: float, b: float, c: complex) -> float:
     """Closed-form smallest eigenvalue of the 2x2 Hermitian [[a, c], [c*, b]]."""
     return (a + b) / 2.0 - math.sqrt(((a - b) / 2.0) ** 2 + abs(c) ** 2)
@@ -57,25 +67,26 @@ class TestBssSelect:
         sys = fourier_system(ef.GridSpectrum(4, (0,)))
         res = ef.bss_select(sys, 2.0)
         assert len(res.indices) <= math.ceil(2.0)
-        assert math.isclose(res.lambda_min, 1.0, rel_tol=1e-12)
-        assert math.isclose(res.lambda_max, 1.0, rel_tol=1e-12)
+        spec = fresh_spectrum(sys, res)
+        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-12)
+        assert math.isclose(spec.lam_max, 1.0, rel_tol=1e-12)
 
     def test_step_budget_covering_all_rows(self):
         # ceil(q*n) = m: the loop may pick every row; certificates still hold
         sys = fourier_system(ef.GridSpectrum(4, (0, 1)))
         res = ef.bss_select(sys, 2.0)
         assert len(res.indices) <= math.ceil(2.0 * 2)
-        assert res.lambda_max / res.lambda_min <= ef.condition_ratio_bound(2.0) * (1 + 1e-9)
-        spec = ef.hermitian_eig(sys.outer_sum(res.indices, res.weights))
-        assert math.isclose(spec.lam_min, res.lambda_min, rel_tol=1e-9)
-        assert math.isclose(spec.lam_max, res.lambda_max, rel_tol=1e-9)
+        spec = fresh_spectrum(sys, res)
+        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-9)
+        assert spec.lam_max / spec.lam_min <= ef.condition_ratio_bound(2.0) * (1 + 1e-9)
 
     def test_real_run_certificate_and_log(self):
         sys = fourier_system(ef.GridSpectrum(8, (0, 1)))
         res = ef.bss_select(sys, 2.0)
         bound = ef.condition_ratio_bound(2.0)
         assert len(res.indices) <= 4
-        assert res.lambda_max / res.lambda_min <= bound * (1.0 + 1e-9)
+        spec = fresh_spectrum(sys, res)
+        assert spec.lam_max / spec.lam_min <= bound * (1.0 + 1e-9)
         assert res.barrier_log
         # barriers strictly bracket the spectrum after every step
         for step in res.barrier_log:
@@ -91,16 +102,21 @@ class TestBssSelect:
     def test_self_consistency_of_reported_extremes(self):
         sys = fourier_system(ef.GridSpectrum(12, (0, 2, 7)))
         res = ef.bss_select(sys, 1.8)
-        spec = ef.hermitian_eig(sys.outer_sum(res.indices, res.weights))
-        assert math.isclose(spec.lam_min, res.lambda_min, rel_tol=1e-9)
-        assert math.isclose(spec.lam_max, res.lambda_max, rel_tol=1e-9)
+        # the loop's last extremes, rescaled by 1/lam_min, are the fresh
+        # extremes of the rescaled weighted sum
+        last = res.barrier_log[-1]
+        spec = fresh_spectrum(sys, res)
+        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-9)
+        assert math.isclose(spec.lam_max, last.lam_max / last.lam_min, rel_tol=1e-9)
+        assert spec.lam_max <= ef.condition_ratio_bound(1.8) * (1.0 + 1e-9)
 
     def test_identity_system_full_selection(self):
         sys = ef.VectorSystem(np.eye(4), parseval=True, equal_norm=True)
         res = ef.bss_select(sys, 1.5)
         assert res.indices == (0, 1, 2, 3)
         assert max(res.weights) / min(res.weights) == 1.0
-        assert math.isclose(res.lambda_max / res.lambda_min, 1.0)
+        spec = fresh_spectrum(sys, res)
+        assert math.isclose(spec.lam_max / spec.lam_min, 1.0)
 
     def test_rejects_bad_input(self):
         sys = ef.VectorSystem(np.eye(3) * 0.5)
@@ -165,16 +181,17 @@ class TestBssUnweighted:
         sys = fourier_system(ef.GridSpectrum(4, (0,)))
         for d in (0.5, 1.0, 3.0):
             res = ef.bss_unweighted(sys, d)
-            assert math.isclose(res.lambda_min, 0.25, rel_tol=1e-12)
-            assert res.lambda_min >= ef.lower_certificate_constant(d) * 0.25
+            assert res.weights == ()
+            floor = fresh_spectrum(sys, res).lam_min
+            assert math.isclose(floor, 0.25, rel_tol=1e-12)
+            assert floor >= ef.lower_certificate_constant(d) * 0.25
 
     def test_two_cell_certificate(self):
         sys = fourier_system(ef.GridSpectrum(4, (0, 1)))
         res = ef.bss_unweighted(sys, 1.0)
         target = ef.lower_certificate_constant(1.0) * 0.5
-        assert res.lambda_min >= target
-        spec = ef.hermitian_eig(sys.outer_sum(res.indices))
-        assert math.isclose(spec.lam_min, res.lambda_min, rel_tol=1e-9)
+        assert fresh_spectrum(sys, res).lam_min >= target
+        assert res.indices == ef.bss_select(sys, 2.0).indices
 
     def test_random_small_with_brute_force_feasibility(self):
         g = ef.GridSpectrum(12, (1, 5, 10))
@@ -182,9 +199,10 @@ class TestBssUnweighted:
         res = ef.bss_unweighted(sys, 3.0)
         assert len(res.indices) <= 12
         target = ef.lower_certificate_constant(3.0) * 3 / 12
-        assert res.lambda_min >= target
+        floor = fresh_spectrum(sys, res).lam_min
+        assert floor >= target
         _, best = ef.brute_force_best(sys, len(res.indices), "max-of-lambda_min")
-        assert best >= res.lambda_min - 1e-12
+        assert best >= floor - 1e-12
 
     def test_size_floor(self):
         # fewer than n rows would be rank-deficient, contradicting the floor
@@ -202,15 +220,17 @@ class TestRitSelect:
         sys = ef.VectorSystem(np.eye(6), parseval=True, equal_norm=True)
         res = ef.rit_select(sys, 0.5)
         assert len(res.indices) >= 3
-        assert math.isclose(res.lambda_min, 1.0, rel_tol=1e-12)
+        assert math.isclose(fresh_gram_spectrum(sys, res).lam_min, 1.0, rel_tol=1e-12)
 
     def test_half_spectrum(self):
         sys = fourier_system(ef.GridSpectrum(8, (0, 1, 2, 3)))
         res = ef.rit_select(sys, 0.5)
         assert len(res.indices) >= 2
-        assert res.lambda_min >= ef.riesz_floor_constant(0.5) * 0.5
-        spec = ef.hermitian_eig(sys.gram_of(res.indices))
-        assert math.isclose(spec.lam_min, res.lambda_min, rel_tol=1e-9)
+        spec = fresh_gram_spectrum(sys, res)
+        assert spec.lam_min >= ef.riesz_floor_constant(0.5) * 0.5
+        # the loop's decomposition after the last pick has the same extremes
+        assert math.isclose(res.barrier_log[-1].lam_min, spec.lam_min, rel_tol=1e-9)
+        assert math.isclose(res.barrier_log[-1].lam_max, spec.lam_max, rel_tol=1e-9)
 
     def test_singleton_case_exhaustive(self):
         # every singleton Gram equals n/m = 1/3, above 0.25 * (1/3)
@@ -221,7 +241,7 @@ class TestRitSelect:
         for j in range(6):
             gram = sys.gram_of([j])
             assert gram[0, 0].real >= floor
-        assert res.lambda_min >= floor
+        assert fresh_gram_spectrum(sys, res).lam_min >= floor
 
     def test_log_tracks_barrier(self):
         sys = fourier_system(ef.GridSpectrum(16, (0, 1, 2, 3, 4, 5, 6, 7)))
@@ -242,7 +262,7 @@ class TestUpperSelect:
         sys = fourier_system(ef.GridSpectrum(4, (0,)))
         res = ef.upper_select(sys, 1)
         assert len(res.indices) == 1
-        assert math.isclose(res.lambda_max, 0.25, rel_tol=1e-12)
+        assert math.isclose(fresh_spectrum(sys, res).lam_max, 0.25, rel_tol=1e-12)
 
     def test_two_cell_pair_matches_brute_force(self):
         sys = fourier_system(ef.GridSpectrum(4, (0, 1)))
@@ -250,13 +270,13 @@ class TestUpperSelect:
         # oracle: exhaustive minimum of lambda_max over all 6 pairs
         _, best = ef.brute_force_best(sys, 2, "min-of-lambda_max")
         assert math.isclose(best, 0.5, rel_tol=1e-12)
-        assert math.isclose(res.lambda_max, best, rel_tol=1e-9)
+        assert math.isclose(fresh_spectrum(sys, res).lam_max, best, rel_tol=1e-9)
 
     def test_full_selection(self):
         sys = fourier_system(ef.GridSpectrum(6, tuple(range(6))))
         res = ef.upper_select(sys, 6)
         assert res.indices == tuple(range(6))
-        assert math.isclose(res.lambda_max, 1.0, rel_tol=1e-10)
+        assert math.isclose(fresh_spectrum(sys, res).lam_max, 1.0, rel_tol=1e-10)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
@@ -269,7 +289,7 @@ class TestUpperSelect:
             sys = fourier_system(ef.GridSpectrum(32, cells))
             res = ef.upper_select(sys, 5)
             assert len(res.indices) == 5
-            assert res.lambda_max <= 20.0 * (4 / 32)
+            assert fresh_spectrum(sys, res).lam_max <= 20.0 * (4 / 32)
 
 
 class TestBruteForce:
@@ -300,7 +320,9 @@ class TestBruteForce:
         sys = fourier_system(ef.GridSpectrum(6, (0, 3)))
         res = ef.bss_unweighted(sys, 1.0)
         _, best = ef.brute_force_best(sys, len(res.indices), "max-of-lambda_min")
-        assert best >= res.lambda_min - 1e-12
+        floor = fresh_spectrum(sys, res).lam_min
+        assert best >= floor - 1e-12
+        assert floor >= ef.lower_certificate_constant(1.0) * 2 / 6
 
     def test_too_many_subsets(self):
         sys = ef.VectorSystem(np.eye(40))
@@ -456,7 +478,7 @@ class TestClosedFormScoring:
         assert len(runs) >= 2 and runs[0][1] is None
         for u0, out in runs:
             expected = oracle_upper_run(sys, 4, u0)
-            assert (None if out is None else [pick[0] for pick in out[0]]) == expected
+            assert (None if out is None else [step.index for step in out]) == expected
         replay_upper(sys, res)
 
     def test_orthogonal_rows_zero_weights(self):
@@ -645,12 +667,12 @@ class TestRitSize:
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
-    Every decomposition goes through np.linalg.eigh: one per greedy step, and
-    inside hermitian_eig for the certificates (Riesz: plus the top eigenvalue
-    that sizes k).  The two-sided and upper loops update their decomposition
-    by one real eigh per rank-one step (_eig_update), so their only complex
-    eigh calls are the certificates' hermitian_eig.  Only the certificates
-    use hermitian_eig, and no candidate gets its own eigvalsh call.
+    Every decomposition goes through np.linalg.eigh: one per pick in each
+    greedy loop, plus the hermitian_eig that sizes a Riesz selection.  The
+    two-sided and upper loops update their decomposition by one real eigh
+    per rank-one step (_eig_update), so they make no complex eigh call at
+    all.  The engines certify nothing, so that sizing call is their only
+    hermitian_eig, and no candidate gets its own eigvalsh call.
     """
 
     @pytest.fixture
@@ -686,19 +708,20 @@ class TestWorkCount:
         ef.upper_select(sys, k)
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == counts["eigh_complex"] == 1
-        assert counts["eigh_real"] <= counts["steps"] + restarts
+        assert counts["eig"] == counts["eigh_complex"] == 0
+        # one update per pick; a failed run scores one step it cannot pick
+        assert counts["eigh_real"] == counts["steps"] - restarts
         if case == "restart":
             assert restarts >= 1
 
     def test_rit_select(self, counts):
         res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == 2
-        assert counts["eigh"] <= len(res.barrier_log) + 2
+        assert counts["eig"] == 1
+        assert counts["eigh"] == len(res.barrier_log) + 1
 
     def test_bss_select(self, counts):
         res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == counts["eigh_complex"] == 1
-        assert counts["eigh_real"] <= len(res.barrier_log)
+        assert counts["eig"] == counts["eigh_complex"] == 0
+        assert counts["eigh_real"] == len(res.barrier_log)

@@ -187,6 +187,12 @@ class TestParse:
             '{"intervals": [[0.0, 9.0]]}',
             '{"m": 4}',
             '{"m": 0, "cells": [0]}',
+            '{"intervals": [[0.3, null]]}',
+            '{"intervals": [["a", 1.0]]}',
+            '{"m": 4.7, "cells": [0]}',
+            '{"m": 4, "cells": [1.9]}',
+            '{"m": true, "cells": [0]}',
+            '{"m": Infinity, "cells": [0]}',
         ],
     )
     def test_rejects(self, text):
