@@ -8,9 +8,10 @@ Rank-one updates are used only for scoring: the two-sided and upper greedy
 loops carry their decomposition from step to step by one real eigh per
 rank-one term, the Riesz loop takes one bare np.linalg.eigh per step, and
 each loop ranks its candidates in closed form from that decomposition.  The
-only hermitian_eig call in the engines sizes the Riesz selection.  The
-scores depend on spectral projections only, so the eigenvector phase
-convention of hermitian_eig matters only to its callers.
+engines make no hermitian_eig call: the Riesz selection is sized from the
+Parseval property, not from a decomposition.  The scores depend on spectral
+projections only, so the eigenvector phase convention of hermitian_eig
+matters only to its callers.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import EmptyComplement, NoCellFits, SpectrumFormatError
 
@@ -148,18 +148,33 @@ def quantize_outer(s: IntervalSet, m: int) -> GridSpectrum:
 
 
 def _integer(x) -> int:
-    """x as an int; booleans and non-integral numbers are refused, not truncated."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"{x!r} is not an integer")
+    """x as an int; anything but a non-bool integer is refused, not converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise SpectrumFormatError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _endpoint(x) -> float:
+    """x as a float; anything but a non-bool real number is refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise SpectrumFormatError(f"interval endpoint {x!r} is not a number")
+    return float(x)
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, (list, tuple)):
+        raise SpectrumFormatError(f"{what} must be a list, got {type(x).__name__}")
+    return list(x)
 
 
 def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
     """Parse a JSON spectrum descriptor.
 
     Accepts {"m": int, "cells": [ints]} for a grid spectrum or
-    {"intervals": [[lo, hi], ...]} with radians in [0, 2*pi].  Booleans and
-    non-integral numbers are refused where an integer is expected.
+    {"intervals": [[lo, hi], ...]} with radians in [0, 2*pi].  cells,
+    intervals and each [lo, hi] pair must be lists; m and the cells must be
+    integers and the endpoints numbers, booleans excluded.  Anything else
+    raises SpectrumFormatError.
     """
     obj = text_or_obj
     if isinstance(obj, (str, bytes)):
@@ -170,22 +185,15 @@ def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
     if not isinstance(obj, dict):
         raise SpectrumFormatError("spectrum descriptor must be a JSON object")
     if "m" in obj and "cells" in obj:
-        try:
-            return GridSpectrum(_integer(obj["m"]), tuple(_integer(r) for r in obj["cells"]))
-        except (TypeError, ValueError) as exc:
-            raise SpectrumFormatError(f"bad grid descriptor: {exc}") from exc
+        cells = _list(obj["cells"], "cells")
+        return GridSpectrum(_integer(obj["m"]), tuple(_integer(r) for r in cells))
     if "intervals" in obj:
-        raw = obj["intervals"]
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-            raise SpectrumFormatError("intervals must be a list of [lo, hi] pairs")
         pairs = []
-        for item in raw:
-            if not isinstance(item, Sequence) or len(item) != 2:
+        for item in _list(obj["intervals"], "intervals"):
+            pair = _list(item, "each interval")
+            if len(pair) != 2:
                 raise SpectrumFormatError("intervals must be [lo, hi] pairs")
-            try:
-                pairs.append((float(item[0]), float(item[1])))
-            except (TypeError, ValueError) as exc:
-                raise SpectrumFormatError(f"bad interval endpoint: {exc}") from exc
+            pairs.append((_endpoint(pair[0]), _endpoint(pair[1])))
         return IntervalSet(tuple(pairs))
     raise SpectrumFormatError(
         'descriptor needs either {"m", "cells"} or {"intervals"}'

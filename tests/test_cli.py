@@ -64,6 +64,13 @@ class TestConstruct:
         code, _, err = run_cli(capsys, "construct", "--spectrum", "{oops", "--d", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spectrum", ['{"m": 4, "cells": "013"}', '{"intervals": [[false, true]]}']
+    )
+    def test_malformed_descriptor_is_input_error(self, capsys, spectrum):
+        code, out, err = run_cli(capsys, "construct", "--spectrum", spectrum, "--d", "1", "--m", "4")
+        assert code == 2 and out == "" and "input error" in err
+
     def test_riesz_d_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d", "1.5", "--mode", "riesz"

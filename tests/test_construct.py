@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
-from expframes import selection, verify
+from expframes import construct, selection, verify
 from expframes.construct import fourier_system
 from expframes.errors import CertificateFailed, KTooLarge, SpectrumFormatError
 from expframes.selection import safe_ceil
@@ -126,7 +126,7 @@ class TestBuildRiesz:
 
 class TestOneCertification:
     """verify is the only certifier: one hermitian_eig per build, of the
-    final selection's Gram (Riesz: plus the call that sizes the selection)."""
+    final selection's Gram; the engines decompose nothing through it."""
 
     @pytest.fixture
     def eig_inputs(self, monkeypatch):
@@ -149,8 +149,8 @@ class TestOneCertification:
             ("sampling", ef.GridSpectrum(6, tuple(range(6))), 1),
             ("bessel", ef.GridSpectrum(16, (0, 3, 5, 9)), 1),
             ("bessel", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 1),
-            ("riesz", ef.GridSpectrum(16, (0, 3, 5, 9)), 2),
-            ("riesz", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 2),
+            ("riesz", ef.GridSpectrum(16, (0, 3, 5, 9)), 1),
+            ("riesz", ef.GridSpectrum(32, (1, 4, 9, 16, 20, 27)), 1),
             ("riesz", ef.GridSpectrum(8, tuple(range(8))), 1),
         ],
     )
@@ -270,6 +270,34 @@ class TestExhaustGeneral:
             if st.complement_riesz is None:
                 continue
             assert abs(st.complement_riesz.lower - st.report.certified_lower) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["sampling", "bessel"])
+    def test_decompositions_stay_within_the_cell_count(self, monkeypatch, mode):
+        # every hermitian_eig of a stage, the complement Riesz certificate
+        # included, decomposes at most n x n, n the stage's cell count
+        events = []
+        original_eig, original_quantize = ef.hermitian_eig, construct.quantize_inner
+
+        def eig(h):
+            events.append(("eig", h.shape[0]))
+            return original_eig(h)
+
+        def quantize(s, m):
+            g = original_quantize(s, m)
+            events.append(("stage", g.n))
+            return g
+
+        monkeypatch.setattr(selection, "hermitian_eig", eig)
+        monkeypatch.setattr(verify, "hermitian_eig", eig)
+        monkeypatch.setattr(construct, "quantize_inner", quantize)
+        s = ef.IntervalSet(((0.3, 0.9), (2.0, 2.5)))
+        stages = ef.exhaust_general(s, 1.0, (16, 32, 64, 128, 256), mode=mode)
+        assert all(st.complement_riesz is not None for st in stages)
+        assert [kind for kind, _ in events] == ["stage", "eig", "eig"] * len(stages)
+        for i, st in enumerate(stages):
+            n = events[3 * i][1]
+            assert n == st.spectrum.n
+            assert events[3 * i + 1][1] <= n and events[3 * i + 2][1] <= n
 
     def test_bessel_mode(self):
         s = ef.IntervalSet(((0.0, math.pi),))

@@ -256,6 +256,12 @@ class TestRitSelect:
             with pytest.raises(InvalidD):
                 ef.rit_select(sys, bad)
 
+    def test_rejects_non_parseval(self):
+        # equal-norm rows whose outer sum is 2x the all-ones matrix, not I
+        sys = ef.VectorSystem(np.full((4, 2), 0.5), equal_norm=True)
+        with pytest.raises(NotParseval):
+            ef.rit_select(sys, 0.5)
+
 
 class TestUpperSelect:
     def test_rank_one(self):
@@ -668,11 +674,11 @@ class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
     Every decomposition goes through np.linalg.eigh: one per pick in each
-    greedy loop, plus the hermitian_eig that sizes a Riesz selection.  The
-    two-sided and upper loops update their decomposition by one real eigh
-    per rank-one step (_eig_update), so they make no complex eigh call at
-    all.  The engines certify nothing, so that sizing call is their only
-    hermitian_eig, and no candidate gets its own eigvalsh call.
+    greedy loop.  The two-sided and upper loops update their decomposition
+    by one real eigh per rank-one step (_eig_update), so they make no
+    complex eigh call at all.  The engines certify nothing and size the
+    Riesz selection without a decomposition, so they make no hermitian_eig
+    call, and no candidate gets its own eigvalsh call.
     """
 
     @pytest.fixture
@@ -717,8 +723,8 @@ class TestWorkCount:
     def test_rit_select(self, counts):
         res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == 1
-        assert counts["eigh"] == len(res.barrier_log) + 1
+        assert counts["eig"] == 0
+        assert counts["eigh"] == len(res.barrier_log)
 
     def test_bss_select(self, counts):
         res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)

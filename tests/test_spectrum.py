@@ -178,6 +178,12 @@ class TestParse:
         s = ef.parse_spectrum('{"intervals": [[0.3, 0.9], [2.0, 2.5]]}')
         assert isinstance(s, ef.IntervalSet) and len(s.intervals) == 2
 
+    def test_integer_endpoints_and_python_objects(self):
+        s = ef.parse_spectrum('{"intervals": [[0, 1], [2, 2.5]]}')
+        assert s.intervals == ((0.0, 1.0), (2.0, 2.5))
+        g = ef.parse_spectrum({"m": 8, "cells": (1, 3)})
+        assert g == ef.GridSpectrum(8, (1, 3))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -193,6 +199,19 @@ class TestParse:
             '{"m": 4, "cells": [1.9]}',
             '{"m": true, "cells": [0]}',
             '{"m": Infinity, "cells": [0]}',
+            '{"m": 4, "cells": "013"}',
+            '{"m": 4, "cells": {"0": 1}}',
+            '{"m": 4, "cells": 0}',
+            '{"m": "8", "cells": [0]}',
+            '{"m": 8.0, "cells": [0]}',
+            '{"m": 8, "cells": ["1"]}',
+            '{"m": 8, "cells": [false]}',
+            '{"intervals": "[[0.3, 0.9]]"}',
+            '{"intervals": {"0": [0.3, 0.9]}}',
+            '{"intervals": [[false, true]]}',
+            '{"intervals": [["0.3", "0.9"]]}',
+            '{"intervals": ["ab"]}',
+            '{"intervals": [{"0": 0.3, "1": 0.9}]}',
         ],
     )
     def test_rejects(self, text):

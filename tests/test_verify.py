@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
+from expframes import verify
 from expframes.errors import PeriodMismatch
 
 TWO_PI = 2.0 * math.pi
@@ -60,6 +61,34 @@ class TestRieszBounds:
         rep = ef.riesz_bounds(ef.GridSpectrum(4, (0,)), ef.SamplingSet(4, (0, 1)))
         assert rep.lower <= 1e-12
         assert rep.density > rep.landau_floor
+
+    @pytest.mark.parametrize(
+        "m,n_omega,n_gamma",
+        [(32, 24, 12), (32, 20, 12), (32, 12, 8), (16, 16, 9), (32, 28, 30), (1024, 848, 672)],
+        ids=["small-side", "sides-equal", "direct", "omega-full", "rank-deficient", "m1024"],
+    )
+    def test_matches_direct_gram_oracle(self, monkeypatch, m, n_omega, n_gamma):
+        # c = m - |omega| cells lie outside omega; the c x c side is
+        # decomposed exactly when 0 < c < |gamma|
+        rng = np.random.default_rng(m * n_omega + n_gamma)
+        omega = ef.GridSpectrum(m, rng.choice(m, n_omega, replace=False).tolist())
+        gamma = ef.SamplingSet(m, rng.choice(m, n_gamma, replace=False).tolist(), "riesz")
+        orders = []
+        original = verify.hermitian_eig
+
+        def spy(h):
+            orders.append(h.shape[0])
+            return original(h)
+
+        monkeypatch.setattr(verify, "hermitian_eig", spy)
+        rep = ef.riesz_bounds(omega, gamma)
+        f = ef.dft_submatrix(m, omega.cells, gamma.residues) / math.sqrt(m)
+        vals = np.linalg.eigvalsh(f.conj().T @ f)
+        assert abs(rep.lower - max(vals[0], 0.0)) <= 1e-12
+        assert abs(rep.upper - vals[-1]) <= 1e-12
+        assert rep.tight == (abs(vals[-1] - max(vals[0], 0.0)) <= verify.TIGHT_TOL)
+        c = m - n_omega
+        assert orders == [c if 0 < c < n_gamma else n_gamma]
 
 
 class TestDuality:
