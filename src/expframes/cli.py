@@ -10,6 +10,7 @@ numbers.  Exit codes: 0 all certificates pass, 1 certificate failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +43,8 @@ def _load_spectrum(text: str):
 
 def _as_grid(spec, m_arg):
     if isinstance(spec, GridSpectrum):
+        if m_arg is not None and m_arg != spec.m:
+            raise ValueError(f"--m {m_arg} conflicts with the grid spectrum's m={spec.m}")
         return spec
     if m_arg is None:
         raise ValueError("interval spectra need --m to fix the grid order")
@@ -171,6 +174,8 @@ def _sweep_case(m: int, frac: Fraction, d: float, seed: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     ms = _parse_int_list(args.m_list)
     fracs = _parse_fraction_list(args.s_list)
     ds = _parse_float_list(args.d_list)
@@ -188,18 +193,21 @@ def cmd_sweep(args) -> int:
     return 0 if all(row[-1] for row in rows) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="expframes",
         description="Certified sampling, Bessel and Riesz set construction on grid spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, residues=False):
+    def add_common(p, grid_order=True, residues=False):
         p.add_argument("--spectrum", required=True,
                        help="inline JSON or path; grid or interval descriptor")
-        p.add_argument("--m", type=int, default=None,
-                       help="grid order used to quantize an interval spectrum")
+        if grid_order:
+            p.add_argument("--m", type=int, default=None,
+                           help="grid order used to quantize an interval spectrum")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if residues:
             p.add_argument("--residues", required=True, help="comma-separated residues")
@@ -220,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dua.set_defaults(func=cmd_duality)
 
     p_exh = sub.add_parser("exhaust", help="stagewise constructions over a schedule")
-    add_common(p_exh)
+    add_common(p_exh, grid_order=False)
     p_exh.add_argument("--d", type=float, default=1.0)
     p_exh.add_argument("--mode", choices=("sampling", "bessel"), default="sampling")
     p_exh.add_argument("--schedule", required=True, help='grid orders, e.g. "16,32,64"')

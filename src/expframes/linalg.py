@@ -63,11 +63,14 @@ def gram(a: np.ndarray) -> np.ndarray:
 class HermitianSpectrum:
     """Ascending eigenvalues with a unitary eigenvector basis.
 
-    Eigenvectors follow a fixed sign convention (first component of modulus
-    above 1e-8 times the max is rotated to the positive real axis) so that
-    identical inputs give byte-identical results.  Only hermitian_eig's
-    callers rely on it; the greedy loops use bare eigenvectors, whose phases
-    none of their scores depend on.
+    Eigenvectors follow a fixed phase convention so that identical inputs
+    give byte-identical results: in each column the first component of
+    modulus above 1e-8 times the column's max (the pivot) is made real and
+    non-negative (up to rounding), by multiplying the column with the
+    pivot's conjugate over its modulus (taken with hypot).  A column whose
+    pivot is 0 is left untouched, signed zeros included.  Only
+    hermitian_eig's callers rely on it; the greedy loops use bare
+    eigenvectors, whose phases none of their scores depend on.
     """
 
     eigenvalues: np.ndarray
@@ -83,29 +86,29 @@ class HermitianSpectrum:
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        pivot = int(np.argmax(mags > 1e-8 * mags.max())) if mags.max() > 0 else 0
-        z = col[pivot]
-        if abs(z) > 0:
-            out[:, k] = col * (z.conjugate() / abs(z))
-    return out
+    mags = np.abs(vecs)
+    pivots = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    z = vecs[pivots, np.arange(vecs.shape[1])]
+    # hypot rounds like the scalar complex abs; np.abs on a complex array
+    # need not, and would move phases by an ulp.
+    r = np.hypot(z.real, z.imag)
+    keep = r > 0
+    return np.multiply(vecs, z.conj() / np.where(keep, r, 1.0), out=vecs.copy(), where=keep)
 
 
 def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
     """Full spectrum of a Hermitian matrix, deterministic for identical input.
 
-    Raises NotHermitian if the asymmetry exceeds HERMITIAN_RTOL relative to
-    the matrix scale; the input is symmetrized before factorization.
+    Raises ValueError unless the input is a non-empty finite square matrix,
+    and NotHermitian if the asymmetry exceeds HERMITIAN_RTOL relative to the
+    matrix scale; the input is symmetrized before factorization.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("hermitian_eig expects a square matrix")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError("hermitian_eig expects a non-empty square matrix")
     if not (np.all(np.isfinite(h.real)) and np.all(np.isfinite(h.imag))):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 0.0)
+    scale = max(1.0, float(np.abs(h).max()))
     asym = float(np.abs(h - h.conj().T).max())
     if asym > HERMITIAN_RTOL * scale:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}")

@@ -1,10 +1,11 @@
+import argparse
 import dataclasses
 import json
 
 import pytest
 
 from expframes import verify
-from expframes.cli import main
+from expframes.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,15 @@ class TestConstruct:
         assert code == 2
 
 
+    def test_grid_spectrum_conflicting_m_is_input_error(self, capsys):
+        grid = '{"m":16,"cells":[0,3]}'
+        _, plain, _ = run_cli(capsys, "construct", "--spectrum", grid, "--d", "1")
+        code, out, err = run_cli(capsys, "construct", "--spectrum", grid, "--m", "16", "--d", "1")
+        assert code == 0 and out == plain
+        code, out, err = run_cli(capsys, "construct", "--spectrum", grid, "--m", "32", "--d", "1")
+        assert code == 2 and out == "" and "conflicts" in err
+
+
 class TestVerify:
     def test_descriptive_landau_violation(self, capsys):
         code, out, _ = run_cli(
@@ -95,6 +105,14 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] == 0.5 and payload["tight"] is True
+
+
+    def test_grid_spectrum_conflicting_m_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--spectrum", '{"m":16,"cells":[0,3]}', "--residues", "0,1,2",
+            "--m", "64",
+        )
+        assert code == 2 and out == "" and "conflicts" in err
 
 
 class TestDuality:
@@ -137,6 +155,15 @@ class TestExhaust:
         assert [st["stage_m"] for st in stages] == [4, 8]
 
 
+    def test_m_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "exhaust", "--spectrum", '{"intervals":[[0.3,0.9],[2.0,2.5]]}', "--m", "999",
+                "--schedule", "16,32",
+            ])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 class TestSweep:
     ARGS = (
         "sweep", "--m-list", "16", "--s-list", "1/4,1/8", "--d-list", "0.5,1",
@@ -161,6 +188,11 @@ class TestSweep:
         _, par, _ = run_cli(capsys, *self.ARGS, "--jobs", "3")
         assert seq == par
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, *self.ARGS, "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs must be at least 1" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json")
         assert code == 0
@@ -178,6 +210,53 @@ class TestSweep:
         for row in rows:
             assert row["lower"] >= row["C_target"]
             assert row["s_squared"] == (row["n"] / row["m"]) ** 2
+
+
+class TestSharedParser:
+    """main builds its parser once and parses every call afresh."""
+
+    GRID = '{"m":16,"cells":[0,3]}'
+
+    def test_built_once(self, capsys, monkeypatch):
+        progs = []
+        original = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(5):
+            code, _, _ = run_cli(capsys, "construct", "--spectrum", self.GRID, "--d", "1")
+            assert code == 0
+        assert progs.count("expframes") <= 1
+        assert _build_parser() is _build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "construct", "--spectrum", self.GRID, "--mode", "bessel", "--k", "3"
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "construct", "--spectrum", self.GRID, "--mode", "sampling", "--d", "1"
+        )
+        assert code == 0, err
+
+        code, out, _ = run_cli(
+            capsys, "construct", "--spectrum", self.GRID, "--d", "1", "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["pass"] is True
+        code, out, _ = run_cli(
+            capsys, "exhaust", "--spectrum", self.GRID, "--schedule", "16,32"
+        )
+        assert code == 0 and out.startswith("# expframes-csv v1")
+
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--spectrum", self.GRID, "--mode", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", self.GRID, "--residues", "0,8")
+        assert code == 0 and json.loads(out)["lower"] > 0
 
 
 class TestOneCertification:
