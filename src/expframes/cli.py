@@ -5,14 +5,25 @@ comment).  Every numeric bound in a report comes from the verification
 layer: the builders certify through it once, and the CLI prints their
 numbers.  Exit codes: 0 all certificates pass, 1 certificate failure,
 2 input error.
+
+``sweep --jobs N`` validates the whole grid first, then builds its points
+on N threads, longest point first.  The greedy loop holds the interpreter
+lock between its LAPACK calls, so each thread hands its build to one of N
+worker processes, which run BLAS on one thread.  They are forked before
+any thread starts: a fork from a process with other threads can copy a
+lock another thread holds.  Where fork is not available, or the caller
+already runs other threads, the threads build in-process.  Rows are
+sorted, so the output does not depend on N.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -59,7 +70,10 @@ def _parse_residues(text: str) -> tuple[int, ...]:
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad fraction list {text!r}") from exc
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -155,14 +169,38 @@ def cmd_exhaust(args) -> int:
     return 0
 
 
-def _sweep_case(m: int, frac: Fraction, d: float, seed: int):
-    n = int(m * frac)
-    if n < 1:
-        raise ValueError(f"|S| fraction {frac} empty at m={m}")
+def _sweep_points(args) -> list[tuple[int, int, float]]:
+    """The (m, n, d) grid in output order, refused whole before any build."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    ms = _parse_int_list(args.m_list)
+    fracs = _parse_fraction_list(args.s_list)
+    ds = _parse_float_list(args.d_list)
+    for m in ms:
+        if m < 1:
+            raise ValueError(f"m must be at least 1, got {m}")
+    for frac in fracs:
+        if not 0 < frac <= 1:
+            raise ValueError(f"|S| fraction {frac} outside (0, 1]")
+    points = []
+    for m in ms:
+        for frac in fracs:
+            n = int(m * frac)
+            if n < 1:
+                raise ValueError(f"|S| fraction {frac} empty at m={m}")
+            points.extend((m, n, d) for d in ds)
+    return points
+
+
+def _sweep_case(m: int, n: int, d: float, seed: int, procs=None):
+    """One sweep row; the build runs in the process pool procs when given."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, n)))
     cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
     grid = GridSpectrum(m, cells)
-    report = cons.build_sampling(grid, d)
+    if procs is None:
+        report = cons.build_sampling(grid, d)
+    else:
+        report = procs.apply(cons.build_sampling, (grid, d))
     s_meas = n / m
     target = lower_certificate_constant(d) * s_meas
     return [
@@ -173,18 +211,57 @@ def _sweep_case(m: int, frac: Fraction, d: float, seed: int):
     ]
 
 
+def _init_worker() -> None:
+    """Set up a sweep worker process: no Ctrl-C, BLAS on one thread.
+
+    Ctrl-C goes to the parent alone: a worker killed mid-task would leave
+    its thread waiting for a result forever.  The workers are the
+    parallelism, so a BLAS thread pool in each of them only oversubscribes
+    the cores.  numpy's Linux wheels bundle OpenBLAS in ``numpy.libs``;
+    another BLAS keeps its own thread setting.
+    """
+    import ctypes
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
+def _sweep_parallel(points, seed: int, workers: int) -> list:
+    """Rows of points, in order, built on workers threads longest first."""
+    import multiprocessing
+
+    # Pool forks all its workers here, while this is the only thread.
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        pool = multiprocessing.get_context("fork").Pool(workers, _init_worker)
+    else:
+        pool = contextlib.nullcontext()
+    # The threads finish before the pool is terminated.
+    with pool as procs, ThreadPoolExecutor(max_workers=workers) as threads:
+        futures = [None] * len(points)
+        for i in sorted(range(len(points)), key=lambda i: points[i][1:], reverse=True):
+            futures[i] = threads.submit(_sweep_case, *points[i], seed, procs)
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:  # on a failure, build no further point
+                f.cancel()
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    ms = _parse_int_list(args.m_list)
-    fracs = _parse_fraction_list(args.s_list)
-    ds = _parse_float_list(args.d_list)
-    points = [(m, frac, d) for m in ms for frac in fracs for d in ds]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _sweep_case(*p, args.seed), points))
+    points = _sweep_points(args)
+    workers = min(args.jobs, len(points))
+    if workers > 1:
+        rows = _sweep_parallel(points, args.seed, workers)
     else:
-        rows = [_sweep_case(m, frac, d, args.seed) for m, frac, d in points]
+        rows = [_sweep_case(*p, args.seed) for p in points]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if args.format == "json":
         _emit_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
@@ -199,8 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expframes",
         description="Certified sampling, Bessel and Riesz set construction on grid spectra.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: an option a subcommand lacks must not pass as one it has.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p, grid_order=True, residues=False):
         p.add_argument("--spectrum", required=True,
@@ -212,22 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
         if residues:
             p.add_argument("--residues", required=True, help="comma-separated residues")
 
-    p_con = sub.add_parser("construct", help="build a certified set for a spectrum")
+    p_con = add_parser("construct", help="build a certified set for a spectrum")
     add_common(p_con)
     p_con.add_argument("--mode", choices=("sampling", "bessel", "riesz"), default="sampling")
     p_con.add_argument("--d", type=float, default=None)
     p_con.add_argument("--k", type=int, default=None, help="bessel size (default n+1)")
     p_con.set_defaults(func=cmd_construct)
 
-    p_ver = sub.add_parser("verify", help="recompute bounds for a (spectrum, residues) pair")
+    p_ver = add_parser("verify", help="recompute bounds for a (spectrum, residues) pair")
     add_common(p_ver, residues=True)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_dua = sub.add_parser("duality", help="sampling vs complement-Riesz bound check")
+    p_dua = add_parser("duality", help="sampling vs complement-Riesz bound check")
     add_common(p_dua, residues=True)
     p_dua.set_defaults(func=cmd_duality)
 
-    p_exh = sub.add_parser("exhaust", help="stagewise constructions over a schedule")
+    p_exh = add_parser("exhaust", help="stagewise constructions over a schedule")
     add_common(p_exh, grid_order=False)
     p_exh.add_argument("--d", type=float, default=1.0)
     p_exh.add_argument("--mode", choices=("sampling", "bessel"), default="sampling")
@@ -235,12 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exh.set_defaults(func=cmd_exhaust)
     p_exh.set_defaults(format="csv")
 
-    p_swp = sub.add_parser("sweep", help="bound-vs-density grid for plotting")
+    p_swp = add_parser("sweep", help="bound-vs-density grid for plotting")
     p_swp.add_argument("--m-list", required=True, help='e.g. "32,64"')
     p_swp.add_argument("--s-list", required=True, help='measure fractions, e.g. "1/16,1/8"')
     p_swp.add_argument("--d-list", required=True, help='e.g. "0.5,1,3"')
     p_swp.add_argument("--seed", type=int, default=0)
-    p_swp.add_argument("--jobs", type=int, default=1)
+    p_swp.add_argument("--jobs", type=int, default=1,
+                       help="grid points built at once, each in a forked worker process")
     p_swp.add_argument("--format", choices=("json", "csv"), default="csv")
     p_swp.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,66 @@
 import argparse
+import ctypes
 import dataclasses
 import json
+import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from expframes import verify
+import expframes
+from expframes import cli, verify
 from expframes.cli import _build_parser, main
+from expframes.selection import lower_certificate_constant
+
+
+class _ForkLog:
+    """threading.active_count() at each fork while armed.
+
+    A fork hook cannot be unregistered, so it is registered once and does
+    nothing while counts is None.
+    """
+
+    def __init__(self):
+        self.counts = None
+        os.register_at_fork(before=self._before)
+
+    def _before(self):
+        if self.counts is not None:
+            self.counts.append(threading.active_count())
+
+
+FORK_LOG = _ForkLog()
+
+
+@pytest.fixture
+def forks():
+    FORK_LOG.counts = []
+    try:
+        yield FORK_LOG.counts
+    finally:
+        FORK_LOG.counts = None
+
+
+def _openblas(action, *args):
+    """Call {action}_num_threads of numpy's bundled OpenBLAS; None without it."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for name in (f"scipy_openblas_{action}_num_threads64_", f"openblas_{action}_num_threads64_"):
+            if hasattr(lib, name):
+                return getattr(lib, name)(*args)
+    return None
+
+
+# A child interpreter that imports this checkout's package.
+_ENV = {**os.environ, "PYTHONPATH": str(Path(expframes.__file__).resolve().parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +219,26 @@ class TestExhaust:
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
+class TestNoAbbreviations:
+    """An option a subcommand lacks never passes as a prefix of one it has."""
+
+    GRID = '{"m":16,"cells":[0,3]}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exhaust", "--spectrum", GRID, "--schedule", "16", "--m", "sampling"),
+            ("sweep", "--m", "64", "--s-list", "1/4", "--d-list", "1"),
+            ("construct", "--spectrum", GRID, "--d", "1", "--form", "json"),
+        ],
+        ids=["exhaust-m", "sweep-m", "construct-form"],
+    )
+    def test_prefix_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 class TestSweep:
     ARGS = (
         "sweep", "--m-list", "16", "--s-list", "1/4,1/8", "--d-list", "0.5,1",
@@ -193,6 +268,28 @@ class TestSweep:
         code, out, err = run_cli(capsys, *self.ARGS, "--jobs", jobs)
         assert code == 2 and out == "" and "--jobs must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--s-list", "2", "|S| fraction 2 outside (0, 1]"),
+            ("--s-list", "1/4,0", "|S| fraction 0 outside (0, 1]"),
+            ("--s-list", "3/2", "|S| fraction 3/2 outside (0, 1]"),
+            ("--s-list", "1/0", "bad fraction list '1/0'"),
+            ("--m-list", "16,0", "m must be at least 1, got 0"),
+            ("--m-list", "-16", "m must be at least 1, got -16"),
+            ("--m-list", "16,2", "|S| fraction 1/4 empty at m=2"),
+            ("--seed", "-1", "--seed must be non-negative, got -1"),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_grid_is_input_error(self, capsys, forks, flag, value, message, jobs):
+        argv = list(self.ARGS)
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+        assert forks == []
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json")
         assert code == 0
@@ -210,6 +307,113 @@ class TestSweep:
         for row in rows:
             assert row["lower"] >= row["C_target"]
             assert row["s_squared"] == (row["n"] / row["m"]) ** 2
+
+
+class TestWorkerProcesses:
+    """sweep --jobs builds in processes forked before any thread starts."""
+
+    def test_forks_once_per_worker_with_one_thread(self, capsys, forks):
+        _, seq, _ = run_cli(capsys, *TestSweep.ARGS)
+        assert forks == []
+        for jobs, workers in (("2", 2), ("3", 3), ("8", 4)):
+            before = len(forks)
+            code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--jobs", jobs)
+            assert code == 0 and out == seq
+            assert len(forks) - before == workers
+        assert set(forks) == {1}
+
+    def test_one_point_builds_in_process(self, capsys, forks):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--m-list", "16", "--s-list", "1/4", "--d-list", "1", "--jobs", "4"
+        )
+        assert code == 0 and forks == []
+
+    def test_no_fork_platform_builds_in_process(self, capsys, forks, monkeypatch):
+        _, seq, _ = run_cli(capsys, *TestSweep.ARGS)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--jobs", "2")
+        assert code == 0 and out == seq and forks == []
+
+    def test_running_threads_prevent_fork(self, capsys, forks):
+        _, seq, _ = run_cli(capsys, *TestSweep.ARGS)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--jobs", "2")
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert code == 0 and out == seq and forks == []
+
+    def test_certificate_failure_in_worker_exits_1(self, capsys, forks, monkeypatch):
+        original = verify.sampling_bounds
+        d = 1.0
+
+        def below(g, lam):
+            target = lower_certificate_constant(d) * g.n / g.m
+            return dataclasses.replace(original(g, lam), lower=math.nextafter(target, 0.0))
+
+        monkeypatch.setattr(verify, "sampling_bounds", below)
+        code, out, err = run_cli(
+            capsys, "sweep", "--m-list", "16,32", "--s-list", "1/4", "--d-list", str(d),
+            "--jobs", "2",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("certificate failure:") and "below target" in err
+        assert len(forks) == 2
+
+    def test_first_failing_point_reports_as_in_serial(self, capsys, forks):
+        # Both points exceed the step cap, each with its own message; the
+        # larger one is built first under --jobs 2.
+        argv = ("sweep", "--m-list", "8,16", "--s-list", "1/4", "--d-list", "50")
+        serial = run_cli(capsys, *argv)
+        assert serial[0] == 2 and "ceil(q*n)=102 " in serial[2]
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert len(forks) == 2
+
+    def test_workers_run_blas_on_one_thread(self):
+        threads = _openblas("get")
+        if threads is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        _openblas("set", 2)  # a parent already on one thread would prove nothing
+        try:
+            with multiprocessing.get_context("fork").Pool(1, cli._init_worker) as procs:
+                assert procs.apply(_openblas, ("get",)) == 1
+        finally:
+            _openblas("set", threads)
+        assert _openblas("get") == threads
+
+    def test_interrupt_ends_the_sweep(self):
+        # Ctrl-C reaches the whole process group, workers included, while
+        # most of the 288 points (over 10 s of work) are still to be built:
+        # the sweep ends after the builds under way, not after all of them.
+        argv = [
+            sys.executable, "-m", "expframes.cli", "sweep", "--m-list", ",".join(["256"] * 32),
+            "--s-list", "1/16,1/8,1/4", "--d-list", "0.5,1,3", "--jobs", "2",
+        ]
+        proc = subprocess.Popen(
+            argv, env=_ENV, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode != 0
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        probe = "import sys, expframes.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=_ENV, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestSharedParser:
@@ -323,8 +527,9 @@ class TestHugeD:
             ("construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d"),
             ("exhaust", "--spectrum", '{"m":8,"cells":[0,1]}', "--schedule", "8", "--d"),
             ("sweep", "--m-list", "8", "--s-list", "1/4", "--d-list"),
+            ("sweep", "--m-list", "8", "--s-list", "1/4,1/2", "--jobs", "2", "--d-list"),
         ],
-        ids=["construct", "exhaust", "sweep"],
+        ids=["construct", "exhaust", "sweep", "sweep-jobs2"],
     )
     def test_exits_2(self, capsys, argv, d):
         code, out, err = run_cli(capsys, *argv, d)
