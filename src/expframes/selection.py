@@ -5,9 +5,11 @@ Four selectors over a finite system {v_i} in complex n-space:
 * bss_select      -- two-sided barrier greedy with positive weights; the
                      selected weighted sum has condition ratio at most the
                      twice-Ramanujan bound ((sqrt(q)+1)/(sqrt(q)-1))^2 at
-                     oversampling q, with |J| <= ceil(q*n).
+                     oversampling q, with |J| <= safe_ceil(q*n).
 * bss_unweighted  -- drops the weights for equal-norm systems; the
                      unweighted sum keeps the eigenvalue floor C(d) * n/m.
+                     Its loop stops once all m rows are picked, since the
+                     later steps only add weight to picked rows.
 * rit_select      -- restricted-invertibility style lower-barrier greedy:
                      picks ceil((1-d)*n) rows whose Gram stays above
                      (1-sqrt(1-d))^2 * n/m.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -250,13 +252,15 @@ def _full_selection(sys: VectorSystem, q: float, weighted: bool) -> SelectionRes
     return SelectionResult(idx, (1.0,) * sys.m if weighted else (), q)
 
 
-def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
+def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> SelectionResult:
     """Two-sided weighted barrier selection at oversampling q > 1.
 
-    Runs ceil(q*n) greedy steps.  At each step the upper barrier u and lower
-    barrier l advance by fixed increments; a candidate i is feasible when its
-    upper score U(v_i) does not exceed its lower score L(v_i), and the added
-    weight is the reciprocal midpoint 2/(U+L).  The schedule
+    Runs safe_ceil(q*n) greedy steps, rounded as build_sampling rounds its
+    size cap, so float dust in q*n cannot add a step.  At each step the upper
+    barrier u and lower barrier l advance by fixed increments; a candidate i
+    is feasible when its upper score U(v_i) does not exceed its lower score
+    L(v_i), and the added weight is the reciprocal midpoint 2/(U+L).  The
+    schedule
 
         delta_l = 1, eps_l = 1/sqrt(q), l0 = -n*sqrt(q),
         delta_u = (sqrt(q)+1)/(sqrt(q)-1),
@@ -288,6 +292,10 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
     CertificateFailed if the loop's final ratio exceeds the bound.
+
+    _unweighted is bss_unweighted's private entry: the result carries no
+    weights, and the loop stops after the step that picks the last of the m
+    rows, since later steps only add weight to rows already picked.
     """
     if not sys.parseval:
         raise NotParseval("bss_select requires a Parseval system")
@@ -298,10 +306,10 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     if q * n > 10 * m:
         shown = math.ceil(q * n) if math.isfinite(q * n) else "inf"
         raise ValueError(f"step budget ceil(q*n)={shown} exceeds the 10*m cap")
-    steps = math.ceil(q * n)
+    steps = safe_ceil(q * n)
     if n == m:
         # The identity is the unique Parseval completion; unit weights keep it.
-        return _full_selection(sys, q, weighted=True)
+        return _full_selection(sys, q, weighted=not _unweighted)
 
     sq = math.sqrt(q)
     delta_l, delta_u = 1.0, (sq + 1.0) / (sq - 1.0)
@@ -366,13 +374,19 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
                 lam_max=float(lam[-1]),
             )
         )
+        if _unweighted and len(weights) == m:
+            break
 
+    if len(log) < steps:  # stopped at full coverage; no weights to certify
+        return SelectionResult(tuple(range(m)), (), q, tuple(log))
     bound = condition_ratio_bound(q)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     if lam_min <= 0.0 or lam_max / lam_min > bound * (1.0 + RATIO_SLACK):
         raise CertificateFailed(f"condition ratio {lam_max / lam_min:.6g} exceeds {bound:.6g}")
-    scale = 1.0 / lam_min
     indices = tuple(sorted(weights))
+    if _unweighted:
+        return SelectionResult(indices, (), q, tuple(log))
+    scale = 1.0 / lam_min
     return SelectionResult(indices, tuple(weights[i] * scale for i in indices), q, tuple(log))
 
 
@@ -383,12 +397,18 @@ def bss_unweighted(sys: VectorSystem, d: float) -> SelectionResult:
     weights.  Each weight is at most lambda_max * m/n, so the unweighted sum
     inherits the floor lambda_min >= lower_certificate_constant(d) * n/m;
     build_sampling checks that floor on the bounds verify computes.
+
+    The loop stops after the step whose pick completes all m rows: the index
+    set is the sorted set of distinct picks, so no later step can change it,
+    and barrier_log then ends at that step.  The floor is trivial there: the
+    m rows sum to the identity, so lambda_min = 1.  A run that completes the
+    rows only on its last step, or never, takes bss_select's ratio guard.
     """
     if not d > 0.0:
         raise ValueError("d must be positive")
     if not sys.equal_norm:
         raise ValueError("bss_unweighted requires an equal-norm system")
-    return replace(bss_select(sys, 1.0 + d), weights=())
+    return bss_select(sys, 1.0 + d, _unweighted=True)
 
 
 def rit_select(sys: VectorSystem, d: float) -> SelectionResult:

@@ -127,6 +127,17 @@ class TestConstruct:
         code, out, err = run_cli(capsys, "construct", "--spectrum", spectrum, "--d", "1", "--m", "4")
         assert code == 2 and out == "" and "input error" in err
 
+    def test_step_count_matches_size_cap(self, capsys):
+        # (1+d)*11 evaluates to 25.000000000000004: the greedy must take the
+        # 25 steps of the size cap, not a 26th that could add a residue
+        code, out, err = run_cli(
+            capsys, "construct", "--spectrum", '{"m":88,"cells":[1,4,24,38,42,52,63,65,83,84,87]}',
+            "--d", "1.272727272727273",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert len(payload["residues"]) <= 25 and payload["pass"] is True
+
     def test_riesz_d_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d", "1.5", "--mode", "riesz"

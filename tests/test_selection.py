@@ -214,6 +214,26 @@ class TestBssUnweighted:
         with pytest.raises(ValueError):
             ef.bss_unweighted(fourier_system(ef.GridSpectrum(4, (0,))), 0.0)
 
+    @pytest.mark.parametrize("route", ["grid", "dense"])
+    def test_same_set_as_weighted_run(self, route):
+        # stopping once every row is picked leaves the set of a full run
+        covered = 0
+        for i in range(128):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(67, i)))
+            m = (4, 8, 16, 32)[i % 4]
+            n = int(rng.integers(1, m))
+            cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
+            d = math.exp(rng.uniform(math.log(0.01), math.log(9.0)))
+            sys = fourier_system(ef.GridSpectrum(m, cells))
+            if route == "dense":
+                sys = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+            res = ef.bss_unweighted(sys, d)
+            assert res.indices == ef.bss_select(sys, 1.0 + d).indices
+            if len(res.barrier_log) < selection.safe_ceil((1.0 + d) * n):
+                assert res.indices == tuple(range(m))
+                covered += 1
+        assert covered >= 20
+
 
 class TestRitSelect:
     def test_identity_system(self):
@@ -731,3 +751,27 @@ class TestWorkCount:
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
         assert counts["eigh_real"] == len(res.barrier_log)
+
+    def test_bss_unweighted_stops_at_full_coverage(self, counts):
+        # a cli-mix sampling request whose greedy picks all 32 rows by step 32
+        # of its 163
+        cells = (0, 1, 3, 4, 5, 7, 8, 10, 11, 12, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24,
+                 25, 26, 28, 30, 31)
+        d = 5.483235128541909
+        res = ef.bss_unweighted(fourier_system(ef.GridSpectrum(32, cells)), d)
+        log = res.barrier_log
+        assert res.indices == tuple(range(32)) and res.weights == ()
+        assert counts["eig"] == counts["eigh_complex"] == 0
+        assert counts["eigh_real"] == len(log) < selection.safe_ceil((1.0 + d) * 25)
+        picked_before = {step.index for step in log[:-1]}
+        assert len(picked_before) == 31 and log[-1].index not in picked_before
+
+    def test_bss_unweighted_covering_on_last_step_runs_every_step(self, counts):
+        # ceil(4 * 16) = 64 = m steps, each picking a new row: the run covers
+        # only on its last step, so nothing is saved and the ratio guard runs
+        cells = (0, 5, 6, 7, 10, 13, 20, 31, 33, 34, 39, 41, 47, 51, 54, 56)
+        sys = fourier_system(ef.GridSpectrum(64, cells))
+        res = ef.bss_unweighted(sys, 3.0)
+        assert res.indices == tuple(range(64))
+        assert len(res.barrier_log) == counts["eigh_real"] == selection.safe_ceil(4.0 * 16)
+        assert res.barrier_log == ef.bss_select(sys, 4.0).barrier_log
