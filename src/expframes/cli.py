@@ -12,14 +12,17 @@ lock between its LAPACK calls, so each thread hands its build to one of N
 worker processes, which run BLAS on one thread.  They are forked before
 any thread starts: a fork from a process with other threads can copy a
 lock another thread holds.  Where fork is not available, or the caller
-already runs other threads, the threads build in-process.  Rows are
-sorted, so the output does not depend on N.
+already runs other threads, the threads build in-process.  Every point,
+--jobs 1 included, is built with numpy's bundled OpenBLAS on one thread,
+and the caller's setting is restored afterwards; rows are sorted.  So the
+output does not depend on N.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import sys
@@ -33,6 +36,7 @@ import numpy as np
 from . import construct as cons
 from . import verify as ver
 from .errors import CertificateFailed, ExpframesError, NoFeasibleCandidate
+from .linalg import _openblas_function
 from .selection import lower_certificate_constant
 from .spectrum import GridSpectrum, parse_spectrum, quantize_inner
 
@@ -217,19 +221,42 @@ def _init_worker() -> None:
     Ctrl-C goes to the parent alone: a worker killed mid-task would leave
     its thread waiting for a result forever.  The workers are the
     parallelism, so a BLAS thread pool in each of them only oversubscribes
-    the cores.  numpy's Linux wheels bundle OpenBLAS in ``numpy.libs``;
-    another BLAS keeps its own thread setting.
+    the cores.
     """
-    import ctypes
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
-        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-                break
+    _set_blas_threads(1)
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set numpy's bundled OpenBLAS to count threads; another BLAS keeps its own."""
+    setter = _openblas_function("openblas_set_num_threads64_")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(count)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
+
+    Every sweep point is built under the workers' setting, in whichever
+    process: OpenBLAS's threaded kernels, its own dlaed3 among them, can
+    round differently on more threads, and the bytes of a row must not
+    depend on --jobs.
+    """
+    getter = _openblas_function("openblas_get_num_threads64_")
+    if getter is None:
+        yield
+        return
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    threads = getter()
+    _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(threads)
 
 
 def _sweep_parallel(points, seed: int, workers: int) -> list:
@@ -258,10 +285,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     points = _sweep_points(args)
     workers = min(args.jobs, len(points))
-    if workers > 1:
-        rows = _sweep_parallel(points, args.seed, workers)
-    else:
-        rows = [_sweep_case(*p, args.seed) for p in points]
+    with _one_blas_thread():
+        if workers > 1:
+            rows = _sweep_parallel(points, args.seed, workers)
+        else:
+            rows = [_sweep_case(*p, args.seed) for p in points]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if args.format == "json":
         _emit_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows])

@@ -5,9 +5,11 @@ fresh Hermitian eigendecomposition (hermitian_eig) rather than maintained by
 rank-one updates, which removes a whole class of drift bugs from the
 certified numbers; expframes.verify is the one place that computes them.
 Rank-one updates are used only for scoring: the two-sided and upper greedy
-loops carry their decomposition from step to step by one real eigh per
-rank-one term, the Riesz loop takes one bare np.linalg.eigh per step, and
-each loop ranks its candidates in closed form from that decomposition.  The
+loops carry their decomposition from step to step by one real
+diagonal-plus-rank-one solve per term (LAPACK's dlaed2/dlaed3 from numpy's
+bundled OpenBLAS, found through _openblas_function, or a dense eigh), the
+Riesz loop takes one bare np.linalg.eigh per step, and each loop ranks its
+candidates in closed form from that decomposition.  The
 engines make no hermitian_eig call: the Riesz selection is sized from the
 Parseval property, not from a decomposition.  The scores depend on spectral
 projections only, so the eigenvector phase convention of hermitian_eig
@@ -16,7 +18,9 @@ matters only to its callers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +34,37 @@ def _index_array(indices) -> np.ndarray:
     if isinstance(indices, range):
         return np.arange(indices.start, indices.stop, indices.step, dtype=np.int64)
     return np.fromiter(indices, dtype=np.int64)
+
+
+@functools.cache
+def _openblas_library():
+    """numpy's bundled OpenBLAS through ctypes, or None without one.
+
+    numpy's Linux wheels ship it as numpy.libs/*openblas*; the process has
+    already loaded it, so this is the copy numpy itself calls.  Loaded on
+    first use, so importing the package does not pay for it.
+    """
+    import ctypes
+
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        return ctypes.CDLL(str(path))
+    return None
+
+
+def _openblas_function(name: str):
+    """Function name of numpy's bundled OpenBLAS, or None if it has none.
+
+    The bundled library has 64-bit integers, and its symbols carry a 64_
+    suffix ("dlaed2_64_", "openblas_set_num_threads64_"), which name
+    includes; the scipy-openblas builds also prefix them with "scipy_".
+    The caller declares argtypes and restype.
+    """
+    lib = _openblas_library()
+    if lib is not None:
+        for symbol in ("scipy_" + name, name):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
 
 
 def dft_submatrix(m: int, row_set, col_set) -> np.ndarray:

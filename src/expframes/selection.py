@@ -21,19 +21,25 @@ candidate in closed form from it (barrier shifts for the two-sided engine,
 Sherman-Morrison for the upper potential, a secular equation for the
 bordered Gram floor).  Each step picks, then updates or decomposes, then
 logs.  The two-sided and upper engines add one rank-one term per step and
-update their decomposition by one real eigh (_eig_update) instead of
-decomposing the running sum; the Riesz engine decomposes its growing Gram
-with a bare np.linalg.eigh.  The scores depend only on the spectral
-projections, not on eigenvector phases, and only steer the greedy.  The
-two-sided and upper engines read their scores as quadratic forms of one
-n x n matrix (VectorSystem.quad_forms), which a Fourier grid system
-evaluates with one FFT.  The engines only select: they certify nothing, and
-the bounds of a built set are computed once, by expframes.verify.
+update their decomposition (_eig_update) instead of decomposing the
+running sum: the update is a real diagonal-plus-rank-one eigenproblem,
+solved by LAPACK's rank-one merge (dlaed2/dlaed3, secular equation and
+Gu-Eisenstat eigenvectors) from n = LAED_MIN_N on where numpy's bundled
+OpenBLAS exports it, else by one dense real eigh.  The Riesz engine
+decomposes its growing Gram with a bare np.linalg.eigh.  The scores depend
+only on the spectral projections, not on eigenvector phases, and only
+steer the greedy.  The two-sided and upper engines read their scores as
+quadratic forms of one n x n matrix (VectorSystem.quad_forms), which a
+Fourier grid system evaluates with one FFT.  The engines only select: they
+certify nothing, and the bounds of a built set are computed once, by
+expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +55,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
+from .linalg import _openblas_function
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
@@ -69,6 +76,10 @@ TIE_RTOL = 1e-12
 # smallest share one pole, and the iteration cap (a few iterations is usual).
 SECULAR_MERGE_RTOL = 1e-14
 SECULAR_MAX_ITER = 100
+# Rank-one eigen-updates of this order and above go through LAPACK's
+# rank-one merge (_laed_eigh), smaller ones through a dense eigh, which
+# is faster there: the merge's fixed cost is the Python around it.
+LAED_MIN_N = 16
 # Largest deviation of a grid system's rows, scaled by sqrt(m) to unit
 # modulus, from exact Fourier rows.
 GRID_ATOL = 1e-10
@@ -285,9 +296,11 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     The loop keeps A = U diag(lam) U* and updates it by one rank-one step per
     pick (_eig_update); both scores of every candidate are the real and
     imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
-    step costs one real n x n eigh, two n x n products, then
-    O(n^2 + m log m) on a Fourier grid system.  The ratio guard and the
-    weight scale read the loop's last eigenvalues; no bound is returned.
+    step costs one real rank-one solve (LAPACK's O(n^2) secular merge plus
+    an n x n product from n = LAED_MIN_N on, else a dense n x n eigh), two
+    n x n products, then O(n^2 + m log m) on a Fourier grid system.  The
+    ratio guard and the weight scale read the loop's last eigenvalues; no
+    bound is returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
@@ -541,8 +554,9 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
 
     Per step every candidate is scored in closed form (_upper_scores) and
     the decomposition of the running sum A is updated by the pick
-    (_eig_update): one real n x n eigh, two n x n products, then
-    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).
+    (_eig_update): one real rank-one solve (see bss_select), two n x n
+    products, then O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on
+    any other).
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -612,22 +626,115 @@ def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
     """Eigendecomposition of U diag(lam) U* + t vv* from lam and U = vecs.
 
     With z = U* v and the diagonal phase D = diag(z/|z|) (1 where z_k = 0),
-    the sum is (U D) (diag(lam) + t |z||z|^T) (U D)*, whose middle factor is
-    real symmetric.  One real eigh of it gives lam' and Q, and U' = (U D) Q.
-    Costs one real n x n eigh plus one real n x 2n product.
+    the sum is (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose
+    middle factor is real symmetric.  _rank_one_eigh decomposes it into
+    lam' and Q, and U' = (U D) Q, one real n x 2n product.  t must be
+    positive.  v = 0 leaves lam and vecs unchanged: the middle factor is
+    then diag(lam), which the dense route decomposes exactly.
     """
     z = (v.conj() @ vecs).conj()
     mod = np.abs(z)
     zero = mod == 0.0
     phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
-    w = math.sqrt(t) * mod
-    middle = w[:, None] * w
-    middle.flat[:: lam.size + 1] += lam
-    lam_new, q = np.linalg.eigh(middle)
+    lam_new, q = _rank_one_eigh(lam, math.sqrt(t) * mod)
     # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
     # real and imaginary parts, which Q^T leaves apart.
     rotated = np.ascontiguousarray((vecs * phase).T)
     return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
+
+
+def _rank_one_eigh(lam: np.ndarray, w: np.ndarray):
+    """Ascending eigenvalues and eigenvectors (columns) of diag(lam) + w w^T.
+
+    lam must be ascending.  From LAED_MIN_N on, LAPACK's rank-one merge
+    (_laed_eigh) runs when numpy's bundled OpenBLAS provides it and
+    succeeds; otherwise, and below LAED_MIN_N, a dense real eigh.
+    """
+    if lam.size >= LAED_MIN_N:
+        out = _laed_eigh(lam, w)
+        if out is not None:
+            return out
+    return _dense_eigh(lam, w)
+
+
+def _dense_eigh(lam: np.ndarray, w: np.ndarray):
+    """diag(lam) + w w^T through one dense real np.linalg.eigh."""
+    middle = w[:, None] * w
+    middle.flat[:: lam.size + 1] += lam
+    return np.linalg.eigh(middle)
+
+
+@functools.cache
+def _laed_routines():
+    """LAPACK's dlaed2 and dlaed3 from numpy's bundled OpenBLAS, or None."""
+    routines = (_openblas_function("dlaed2_64_"), _openblas_function("dlaed3_64_"))
+    if None in routines:
+        return None
+    for routine, nargs in zip(routines, (17, 14)):
+        routine.argtypes = [ctypes.c_void_p] * nargs
+        routine.restype = None
+    return routines
+
+
+def _laed_eigh(lam: np.ndarray, w: np.ndarray):
+    """diag(lam) + w w^T through LAPACK's rank-one merge, or None.
+
+    This is the merge step of divide and conquer (dlaed1 without its
+    bookkeeping): dlaed2 deflates, dlaed3 finds the roots of the secular
+    equation (dlaed4) and the eigenvectors in the Gu-Eisenstat form.  The
+    matrix is posed as a merge of its halves n//2 and n - n//2 with
+    eigenvectors Q = I, each half already in ascending order, and an
+    updating vector of norm sqrt(2) with rho = ||w||^2 / 2, as dlaed1
+    passes them.  lam and rho are first scaled by a power of two that puts
+    the larger of max|lam| and ||w||^2 in [1/2, 1), since dlaed2's
+    deflation tolerance is absolute.  The eigenvalues come back in two
+    ascending runs (kept, then deflated) and are sorted with their vectors.
+
+    Returns None, for the dense route to take over, when the library lacks
+    the routines, n < 2, w is zero or not finite, or LAPACK reports
+    INFO != 0.  The workspace is allocated per call, so concurrent calls
+    share nothing.
+    """
+    n = lam.size
+    norm2 = float(w @ w)
+    if n < 2 or not 0.0 < norm2 < math.inf:
+        return None
+    routines = _laed_routines()
+    if routines is None:
+        return None
+    laed2, laed3 = routines
+    n1, nn = n // 2, n * n
+    scale = math.ldexp(1.0, -math.frexp(max(-float(lam[0]), float(lam[-1]), norm2))[1])
+    # floats: Q = I, Q2, S (n x n each), then D, Z, DLAMDA, W (n each), RHO;
+    # dlaed3 copies up to K x K entries into S, more than its documented
+    # (N1 + 1) * K
+    flt = np.zeros(3 * nn + 4 * n + 1)
+    flt[: nn : n + 1] = 1.0
+    d = flt[3 * nn : 3 * nn + n]
+    np.multiply(lam, scale, out=d)
+    np.multiply(w, math.sqrt(2.0 / norm2), out=flt[3 * nn + n : 3 * nn + 2 * n])
+    flt[-1] = 0.5 * norm2 * scale
+    # integers: K, N, N1, LDQ, INFO, then INDXQ, INDX, INDXC, INDXP (n each)
+    # and COLTYP, into which dlaed2 writes 4 counts even when n < 4
+    ints = np.empty(5 + 4 * n + max(n, 4), dtype=np.int64)
+    ints[:5] = (0, n, n1, n, 0)
+    ints[5 : 5 + n] = np.arange(1, n + 1)
+    ints[5 + n1 : 5 + n] -= n1  # INDXQ: each half's own ascending order
+    f, i = flt.ctypes.data, ints.ctypes.data
+    K, N, N1, LDQ, INFO = i, i + 8, i + 16, i + 24, i + 32
+    INDXQ = i + 40
+    INDX, INDXC, INDXP, COLTYP = INDXQ + 8 * n, INDXQ + 16 * n, INDXQ + 24 * n, INDXQ + 32 * n
+    Q, Q2, S = f, f + 8 * nn, f + 16 * nn
+    D = f + 24 * nn
+    Z, DLAMDA, W, RHO = D + 8 * n, D + 16 * n, D + 24 * n, D + 32 * n
+    laed2(K, N, N1, D, Q, LDQ, INDXQ, RHO, Z, DLAMDA, W, Q2, INDX, INDXC, INDXP, COLTYP, INFO)
+    if ints[4] == 0 and ints[0] > 0:
+        laed3(K, N, N1, D, Q, LDQ, RHO, DLAMDA, Q2, INDXC, COLTYP, W, S, INFO)
+    if ints[4] != 0:
+        return None
+    # Fortran's column j of Q is row j here.
+    order = d.argsort(kind="stable")
+    return d[order] / scale, flt[:nn].reshape(n, n)[order].T
 
 
 def _pick(scores: np.ndarray, maximize: bool, scale: Optional[float] = None) -> int:

@@ -396,6 +396,53 @@ class TestWorkerProcesses:
             _openblas("set", threads)
         assert _openblas("get") == threads
 
+    def test_every_build_runs_blas_on_one_thread(self, capsys, monkeypatch):
+        threads = _openblas("get")
+        if threads is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        seen = []
+        build = cli.cons.build_sampling
+
+        def spy(grid, d):
+            seen.append(_openblas("get"))
+            return build(grid, d)
+
+        monkeypatch.setattr(cli.cons, "build_sampling", spy)
+        _openblas("set", 2)  # a caller's own setting, restored after the sweep
+        try:
+            for jobs in ("1", "2"):
+                # --jobs 2 builds in-process here: the spy is not picklable
+                # into the workers, so hold a thread to keep the pool off
+                release = threading.Event()
+                other = threading.Thread(target=release.wait, args=(30,))
+                other.start()
+                try:
+                    code, _, _ = run_cli(capsys, *TestSweep.ARGS, "--jobs", jobs)
+                finally:
+                    release.set()
+                    other.join(timeout=30)
+                assert code == 0 and _openblas("get") == 2
+        finally:
+            _openblas("set", threads)
+        assert seen == [1] * 8
+
+    def test_jobs_match_serial_bytes_with_blas_unpinned(self):
+        # With BLAS on 2 threads in the caller, this row printed lower
+        # ...06922 under --jobs 1 and ...06919 under --jobs 2 when only the
+        # workers ran BLAS on one thread.
+        argv = [
+            sys.executable, "-m", "expframes.cli", "sweep", "--m-list", "1024",
+            "--s-list", "3/16", "--d-list", "1,1.5", "--seed", "7",
+        ]
+        env = {**_ENV, "OPENBLAS_NUM_THREADS": "2"}
+        outs = [
+            subprocess.run(argv + ["--jobs", jobs], env=env, capture_output=True, timeout=300)
+            for jobs in ("1", "2")
+        ]
+        assert [done.returncode for done in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+        assert b"\n1024,192,1.0,384," in outs[0].stdout
+
     def test_interrupt_ends_the_sweep(self):
         # Ctrl-C reaches the whole process group, workers included, while
         # most of the 288 points (over 10 s of work) are still to be built:

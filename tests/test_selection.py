@@ -1,12 +1,17 @@
+import ctypes
 import itertools
 import json
 import math
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
 
 import expframes as ef
-from expframes import selection
+from expframes import linalg, selection
 from expframes.construct import build_riesz, fourier_system
 from expframes.errors import (
     InvalidD,
@@ -680,6 +685,159 @@ class TestEigUpdate:
         assert np.allclose(updates[-1][0], ref, rtol=1e-12, atol=0.0)
 
 
+def solve_by(route, lam, w):
+    """A route's decomposition of diag(lam) + w w^T; the LAPACK route must not refuse."""
+    out = selection._laed_eigh(lam, w) if route == "laed" else selection._dense_eigh(lam, w)
+    assert out is not None
+    return out
+
+
+def assert_rank_one_solution(lam, w, out):
+    new_lam, q = out
+    ref = np.diag(lam) + np.outer(w, w)
+    assert np.all(np.diff(new_lam) >= 0.0)
+    residual = (q * new_lam) @ q.T - ref
+    assert np.linalg.norm(residual, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+    assert np.abs(q.T @ q - np.eye(lam.size)).max() <= 1e-13
+
+
+def rank_one_input(rng, n, kind, lam_scale, w_scale):
+    """(lam ascending, w) for diag(lam) + w w^T, of a kind that stresses deflation."""
+    if kind == "zero-start":  # one distinct eigenvalue: all but one deflate
+        lam = np.zeros(n)
+    elif kind == "repeated":
+        lam = np.sort(rng.choice([0.0, 1.0, 2.5], n)) * lam_scale
+    else:
+        lam = np.sort(rng.normal(size=n)) * lam_scale
+    w = rng.normal(size=n) * w_scale
+    if kind == "zero-coordinates":
+        w[rng.random(n) < 0.4] = 0.0
+        w[0] = w_scale
+    return lam, w
+
+
+@pytest.fixture
+def laed_unavailable(monkeypatch):
+    """The OpenBLAS lookup finds nothing, as on a numpy without its bundled copy."""
+    selection._laed_routines.cache_clear()
+    monkeypatch.setattr(selection, "_openblas_function", lambda name: None)
+    yield
+    monkeypatch.undo()
+    selection._laed_routines.cache_clear()
+
+
+def needs_laed():
+    if linalg._openblas_library() is None:
+        pytest.skip("numpy carries no bundled OpenBLAS")
+
+
+class TestRankOneRoutes:
+    """The two routes of the rank-one solve, called directly."""
+
+    @pytest.mark.parametrize("route", ["laed", "dense"])
+    @pytest.mark.parametrize("case", ["zero-start", "repeated", "zero-coordinates"])
+    @pytest.mark.parametrize("t", [1.0, 1e3])
+    def test_eig_update_cases(self, route, case, t):
+        if route == "laed":
+            needs_laed()
+        lam, vecs, v = eig_update_case(case)
+        w = math.sqrt(t) * np.abs(vecs.conj().T @ v)
+        assert_rank_one_solution(lam, w, solve_by(route, lam, w))
+
+    @pytest.mark.parametrize("route", ["laed", "dense"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 15, 16, 17, 33, 64, 120, 200])
+    def test_sizes_scales_and_deflation(self, route, n):
+        if route == "laed":
+            needs_laed()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(71, n)))
+        for kind in ("zero-start", "repeated", "zero-coordinates", "distinct"):
+            for lam_scale in (1e-8, 1.0, 1e3):
+                for w_scale in (1e-8, 1e-3, 1.0, 1e3):
+                    lam, w = rank_one_input(rng, n, kind, lam_scale, w_scale)
+                    assert_rank_one_solution(lam, w, solve_by(route, lam, w))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_column_types_fit_below_four(self, n):
+        # dlaed2 writes 4 column-type counts even when n < 4; a workspace
+        # of n entries overruns the heap, which took the interpreter down
+        needs_laed()
+        probe = (
+            "import numpy as np\n"
+            "from expframes import selection\n"
+            "rng = np.random.default_rng(0)\n"
+            "for _ in range(2000):\n"
+            f"    lam, w = np.sort(rng.normal(size={n})), rng.normal(size={n})\n"
+            "    new_lam, q = selection._laed_eigh(lam, w)\n"
+            "    ref = np.diag(lam) + np.outer(w, w)\n"
+            "    assert np.abs((q * new_lam) @ q.T - ref).max() <= 1e-13 * np.abs(ref).max()\n"
+            "print('ok')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ef.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    @pytest.mark.parametrize("n", [2, selection.LAED_MIN_N - 1, selection.LAED_MIN_N, 40])
+    def test_zero_vector_leaves_the_decomposition(self, n):
+        # upper_select can pick a zero row of a dense Parseval system
+        rng = np.random.default_rng(n)
+        vecs = random_unitary(rng, n)
+        for lam in (np.sort(rng.random(n)), np.sort(rng.choice([0.0, 1.0], n))):
+            new_lam, new_vecs = selection._eig_update(lam, vecs, np.zeros(n, dtype=complex), 2.0)
+            assert np.array_equal(new_lam, lam) and np.array_equal(new_vecs, vecs)
+            assert selection._laed_eigh(lam, np.zeros(n)) is None
+
+    def test_lookup_not_found_takes_eigh(self, laed_unavailable):
+        n = selection.LAED_MIN_N + 4
+        lam, w = rank_one_input(np.random.default_rng(3), n, "distinct", 1.0, 1.0)
+        assert selection._laed_routines() is None
+        assert selection._laed_eigh(lam, w) is None
+        got, ref = selection._rank_one_eigh(lam, w), selection._dense_eigh(lam, w)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("failing", ["dlaed2", "dlaed3"])
+    def test_info_nonzero_takes_eigh(self, monkeypatch, failing):
+        needs_laed()
+        laed2, laed3 = selection._laed_routines()
+
+        def info_one(*args):  # INFO is the last argument of both routines
+            ctypes.c_int64.from_address(args[-1]).value = 1
+
+        stub = (info_one, laed3) if failing == "dlaed2" else (laed2, info_one)
+        monkeypatch.setattr(selection, "_laed_routines", lambda: stub)
+        n = selection.LAED_MIN_N + 4
+        lam, w = rank_one_input(np.random.default_rng(5), n, "distinct", 1.0, 1.0)
+        assert selection._laed_eigh(lam, w) is None
+        got, ref = selection._rank_one_eigh(lam, w), selection._dense_eigh(lam, w)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_fast_route_taken_from_the_crossover(self, monkeypatch):
+        # without this, a renamed OpenBLAS symbol would silently fall back
+        needs_laed()
+        assert selection._laed_routines() is not None
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(selection.np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        rng = np.random.default_rng(9)
+        for n in (selection.LAED_MIN_N - 1, selection.LAED_MIN_N, 176):
+            lam, vecs = np.sort(rng.random(n)), random_unitary(rng, n)
+            selection._eig_update(lam, vecs, rng.normal(size=n) + 1j * rng.normal(size=n), 1.0)
+        assert calls == [(selection.LAED_MIN_N - 1,) * 2]
+
+    @pytest.mark.parametrize("m,n", [(64, 16), (256, 64), (1024, 176)])
+    def test_laed_and_eigh_pick_the_same_sets(self, monkeypatch, m, n):
+        needs_laed()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(73, m, n)))
+        sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
+        picked = {}
+        for route, min_n in (("laed", 2), ("dense", n + 1)):
+            monkeypatch.setattr(selection, "LAED_MIN_N", min_n)
+            picked[route] = (ef.bss_select(sys, 2.0).indices, ef.upper_select(sys, n + 1).indices)
+        assert picked["laed"] == picked["dense"]
+
+
 class TestRitSize:
     def test_rounded_top_eigenvalue_does_not_add_a_row(self):
         # ||T||^2 evaluates to 4 - 4e-16 here, so a plain ceiling of
@@ -693,18 +851,20 @@ class TestRitSize:
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
-    Every decomposition goes through np.linalg.eigh: one per pick in each
-    greedy loop.  The two-sided and upper loops update their decomposition
-    by one real eigh per rank-one step (_eig_update), so they make no
-    complex eigh call at all.  The engines certify nothing and size the
-    Riesz selection without a decomposition, so they make no hermitian_eig
-    call, and no candidate gets its own eigvalsh call.
+    One decomposition per pick in each greedy loop.  The two-sided and
+    upper loops update theirs by one real rank-one solve per pick
+    (_eig_update), through whichever route ran: LAPACK's rank-one merge
+    ("laed", counted when it returns a result) or a real eigh; they make
+    no complex eigh call at all.  The Riesz loop decomposes its Gram with
+    np.linalg.eigh.  The engines certify nothing and size the Riesz
+    selection without a decomposition, so they make no hermitian_eig call,
+    and no candidate gets its own eigvalsh call.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = dict.fromkeys(
-            ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "steps", "runs"), 0
+            ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "steps", "runs"), 0
         )
 
         def counting(key, fn):
@@ -715,6 +875,14 @@ class TestWorkCount:
                 return fn(*args, **kwargs)
 
             return wrapped
+
+        def counting_laed(lam, w):
+            out = laed(lam, w)
+            tally["laed"] += out is not None
+            return out
+
+        laed = selection._laed_eigh
+        monkeypatch.setattr(selection, "_laed_eigh", counting_laed)
 
         monkeypatch.setattr(selection, "hermitian_eig", counting("eig", selection.hermitian_eig))
         for name in ("eigh", "eigvalsh"):
@@ -735,8 +903,8 @@ class TestWorkCount:
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
-        # one update per pick; a failed run scores one step it cannot pick
-        assert counts["eigh_real"] == counts["steps"] - restarts
+        # one rank-one solve per pick; a failed run scores one step it cannot pick
+        assert counts["eigh_real"] + counts["laed"] == counts["steps"] - restarts
         if case == "restart":
             assert restarts >= 1
 
@@ -750,7 +918,7 @@ class TestWorkCount:
         res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
-        assert counts["eigh_real"] == len(res.barrier_log)
+        assert counts["eigh_real"] + counts["laed"] == len(res.barrier_log)
 
     def test_bss_unweighted_stops_at_full_coverage(self, counts):
         # a cli-mix sampling request whose greedy picks all 32 rows by step 32
@@ -762,7 +930,8 @@ class TestWorkCount:
         log = res.barrier_log
         assert res.indices == tuple(range(32)) and res.weights == ()
         assert counts["eig"] == counts["eigh_complex"] == 0
-        assert counts["eigh_real"] == len(log) < selection.safe_ceil((1.0 + d) * 25)
+        solves = counts["eigh_real"] + counts["laed"]
+        assert solves == len(log) < selection.safe_ceil((1.0 + d) * 25)
         picked_before = {step.index for step in log[:-1]}
         assert len(picked_before) == 31 and log[-1].index not in picked_before
 
@@ -773,5 +942,6 @@ class TestWorkCount:
         sys = fourier_system(ef.GridSpectrum(64, cells))
         res = ef.bss_unweighted(sys, 3.0)
         assert res.indices == tuple(range(64))
-        assert len(res.barrier_log) == counts["eigh_real"] == selection.safe_ceil(4.0 * 16)
+        solves = counts["eigh_real"] + counts["laed"]
+        assert len(res.barrier_log) == solves == selection.safe_ceil(4.0 * 16)
         assert res.barrier_log == ef.bss_select(sys, 4.0).barrier_log
