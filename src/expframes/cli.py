@@ -12,10 +12,10 @@ lock between its LAPACK calls, so each thread hands its build to one of N
 worker processes, which run BLAS on one thread.  They are forked before
 any thread starts: a fork from a process with other threads can copy a
 lock another thread holds.  Where fork is not available, or the caller
-already runs other threads, the threads build in-process.  Every point,
---jobs 1 included, is built with numpy's bundled OpenBLAS on one thread,
-and the caller's setting is restored afterwards; rows are sorted.  So the
-output does not depend on N.
+already runs other threads, the threads build in-process.  Every
+command runs with numpy's bundled OpenBLAS on one thread (main restores
+the caller's setting afterwards), and rows are sorted, so the output
+depends neither on N nor on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def _sweep_points(args) -> list[tuple[int, int, float]]:
     for m in ms:
         if m < 1:
             raise ValueError(f"m must be at least 1, got {m}")
+    for d in ds:
+        if not d > 0:
+            raise ValueError(f"d must be positive, got {d}")
     for frac in fracs:
         if not 0 < frac <= 1:
             raise ValueError(f"|S| fraction {frac} outside (0, 1]")
@@ -226,37 +229,37 @@ def _init_worker() -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _set_blas_threads(1)
+    _, set_threads = _blas_threads()
+    set_threads(1)
 
 
-def _set_blas_threads(count: int) -> None:
-    """Set numpy's bundled OpenBLAS to count threads; another BLAS keeps its own."""
-    setter = _openblas_function("openblas_set_num_threads64_")
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(count)
+@functools.cache
+def _blas_threads():
+    """(get, set) thread count of numpy's bundled OpenBLAS; no-ops for another BLAS."""
+    get = _openblas_function("openblas_get_num_threads64_")
+    set_ = _openblas_function("openblas_set_num_threads64_")
+    if get is None or set_ is None:
+        return (lambda: 1), (lambda count: None)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
 
-    Every sweep point is built under the workers' setting, in whichever
-    process: OpenBLAS's threaded kernels, its own dlaed3 among them, can
-    round differently on more threads, and the bytes of a row must not
-    depend on --jobs.
+    main runs every command under it: OpenBLAS's threaded kernels, its own
+    dlaed3 among them, can round differently on more threads, and a
+    report's bytes must not depend on the caller's thread count.
     """
-    getter = _openblas_function("openblas_get_num_threads64_")
-    if getter is None:
-        yield
-        return
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    threads = getter()
-    _set_blas_threads(1)
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)
     try:
         yield
     finally:
-        _set_blas_threads(threads)
+        set_threads(threads)
 
 
 def _sweep_parallel(points, seed: int, workers: int) -> list:
@@ -285,11 +288,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     points = _sweep_points(args)
     workers = min(args.jobs, len(points))
-    with _one_blas_thread():
-        if workers > 1:
-            rows = _sweep_parallel(points, args.seed, workers)
-        else:
-            rows = [_sweep_case(*p, args.seed) for p in points]
+    if workers > 1:
+        rows = _sweep_parallel(points, args.seed, workers)
+    else:
+        rows = [_sweep_case(*p, args.seed) for p in points]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     if args.format == "json":
         _emit_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
@@ -360,7 +362,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (CertificateFailed, NoFeasibleCandidate) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,12 @@ grid quantizations of an arbitrary interval union.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import verify
 from .errors import CertificateFailed, KTooLarge, SpectrumFormatError
-from .linalg import dft_submatrix
 from .selection import (
     SelectionResult,
     VectorSystem,
@@ -71,10 +69,10 @@ def fourier_system(g: GridSpectrum) -> VectorSystem:
     """Rows of the normalized Fourier submatrix over the spectrum cells.
 
     The m rows v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells} resolve the
-    identity on coefficient space and share squared norm n/m.
+    identity on coefficient space and share squared norm n/m.  This is the
+    only way to get a system whose quad_forms uses an FFT.
     """
-    w = dft_submatrix(g.m, range(g.m), g.cells) / math.sqrt(g.m)
-    return VectorSystem(w, parseval=True, equal_norm=True, grid=(g.m, g.cells))
+    return VectorSystem._fourier(g.m, g.cells)
 
 
 CSV_COLUMNS = ("m", "n", "J", "density", "landau_floor", "lower", "upper", "C_target", "pass")

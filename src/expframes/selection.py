@@ -29,10 +29,10 @@ OpenBLAS exports it, else by one dense real eigh.  The Riesz engine
 decomposes its growing Gram with a bare np.linalg.eigh.  The scores depend
 only on the spectral projections, not on eigenvector phases, and only
 steer the greedy.  The two-sided and upper engines read their scores as
-quadratic forms of one n x n matrix (VectorSystem.quad_forms), which a
-Fourier grid system evaluates with one FFT.  The engines only select: they
-certify nothing, and the bounds of a built set are computed once, by
-expframes.verify.
+quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
+a system built by construct.fourier_system evaluates with one FFT.  The
+engines only select: they certify nothing, and the bounds of a built set
+are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
@@ -43,7 +43,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
-from .linalg import _openblas_function
+from .linalg import _openblas_function, dft_submatrix
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
@@ -80,9 +80,6 @@ SECULAR_MAX_ITER = 100
 # rank-one merge (_laed_eigh), smaller ones through a dense eigh, which
 # is faster there: the merge's fixed cost is the Python around it.
 LAED_MIN_N = 16
-# Largest deviation of a grid system's rows, scaled by sqrt(m) to unit
-# modulus, from exact Fourier rows.
-GRID_ATOL = 1e-10
 
 
 def safe_ceil(x: float) -> int:
@@ -112,17 +109,16 @@ class VectorSystem:
     """Finite family of m vectors in complex n-space, stored as rows.
 
     With parseval=True the rows must resolve the identity (sum of v v* = I);
-    with equal_norm=True every squared norm must equal n/m.  grid=(m, cells)
-    declares the rows to be the normalized Fourier rows
-    v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells}, j = 0..m-1, which lets
-    quad_forms use an FFT.  All checks run at construction time.
+    with equal_norm=True every squared norm must equal n/m.  Both are checked
+    at construction time.  Only construct.fourier_system builds a system
+    that skips them (they hold by construction) and evaluates quad_forms
+    with an FFT; every other system takes the dense route.
     """
 
     vectors: np.ndarray
     parseval: bool = False
     equal_norm: bool = False
-    grid: Optional[tuple[int, tuple[int, ...]]] = None
-    # Grid systems: (r_b - r_a) mod m for every entry (a, b) of an n x n matrix.
+    # Systems built by _fourier: (r_b - r_a) mod m for every entry (a, b) of an n x n matrix.
     _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,21 +141,22 @@ class VectorSystem:
             err = float(np.abs(norms2 - target).max())
             if err > EQUAL_NORM_RTOL * max(1.0, target):
                 raise ValueError(f"row norm deviation {err:.3e} exceeds tolerance")
-        if self.grid is not None:
-            self._check_grid(arr)
 
-    def _check_grid(self, arr: np.ndarray) -> None:
-        """Validate grid=(m, cells) against the rows and index the cell differences."""
-        m, cells = int(self.grid[0]), tuple(int(r) for r in self.grid[1])
-        object.__setattr__(self, "grid", (m, cells))
-        if (m, len(cells)) != arr.shape:
-            raise ValueError(f"grid ({m}, {len(cells)} cells) does not match rows {arr.shape}")
+    @classmethod
+    def _fourier(cls, m: int, cells: Sequence[int]) -> VectorSystem:
+        """The rows v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells}, j = 0..m-1.
+
+        cells must be distinct residues in [0, m), as a GridSpectrum's are:
+        the m x n matrix is then n columns of the unitary DFT, Parseval and
+        equal-norm by construction, so none of __post_init__'s checks is run.
+        """
+        rows = dft_submatrix(m, range(m), cells) / math.sqrt(m)
+        rows.setflags(write=False)
         r = np.asarray(cells, dtype=np.int64)
-        roots = np.exp(2.0j * np.pi * np.arange(m) / m)
-        err = float(np.abs(math.sqrt(m) * arr - roots[np.outer(np.arange(m), r) % m]).max())
-        if err > GRID_ATOL:
-            raise ValueError(f"rows deviate from the grid's Fourier rows by {err:.3e}")
-        object.__setattr__(self, "_cell_diffs", ((r[None, :] - r[:, None]) % m).ravel())
+        diffs = ((r[None, :] - r[:, None]) % m).ravel()
+        system = object.__new__(cls)  # frozen: fill the fields without __init__
+        vars(system).update(vectors=rows, parseval=True, equal_norm=True, _cell_diffs=diffs)
+        return system
 
     @property
     def m(self) -> int:
@@ -172,10 +169,11 @@ class VectorSystem:
     def quad_forms(self, b: np.ndarray) -> np.ndarray:
         """Complex quadratic forms v_j* b v_j of every row j, for any n x n b.
 
-        A grid system gathers b's entries along each cell difference
-        d = r_b - r_a mod m and takes one inverse FFT of length m, since
-        v_j* b v_j = (1/m) sum_d e^{2i pi j d/m} sum_{r_b - r_a = d} b[a, b]:
-        O(n^2 + m log m).  Any other system takes the dense O(n^2 m) route.
+        A system built by fourier_system gathers b's entries along each cell
+        difference d = r_b - r_a mod m and takes one inverse FFT of length m,
+        since v_j* b v_j = (1/m) sum_d e^{2i pi j d/m} sum_{r_b - r_a = d}
+        b[a, b]: O(n^2 + m log m).  Any other system takes the dense O(n^2 m)
+        route.
         For Hermitian b the forms are real; b = H1 + i H2 with H1, H2
         Hermitian returns both families at once as real and imaginary parts.
         """

@@ -18,6 +18,7 @@ import pytest
 import expframes
 from expframes import cli, verify
 from expframes.cli import _build_parser, main
+from expframes.errors import CertificateFailed
 from expframes.selection import lower_certificate_constant
 
 
@@ -230,6 +231,53 @@ class TestExhaust:
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
+class TestBlasThreads:
+    """Every command runs numpy's bundled OpenBLAS on one thread."""
+
+    def test_exhaust_bytes_do_not_depend_on_blas_threads(self):
+        # Before the pin covered every command, this stage printed lower
+        # ...59675 with OPENBLAS_NUM_THREADS=1 and ...59691 with 2.
+        argv = [
+            sys.executable, "-m", "expframes.cli", "exhaust",
+            "--spectrum", '{"intervals":[[0.3,0.9],[2.0,2.5]]}', "--d", "1", "--schedule", "512",
+        ]
+        outs = [
+            subprocess.run(
+                argv, env={**_ENV, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, timeout=300
+            )
+            for threads in ("1", "2")
+        ]
+        assert [done.returncode for done in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+        assert b"\n512,88,158," in outs[0].stdout
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_command_runs_on_one_thread_and_restores(self, capsys, monkeypatch, fails):
+        threads = _openblas("get")
+        if threads is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        seen = []
+        build = cli.cons.build_sampling
+
+        def spy(grid, d):
+            seen.append(_openblas("get"))
+            if fails:
+                raise CertificateFailed("forced")
+            return build(grid, d)
+
+        monkeypatch.setattr(cli.cons, "build_sampling", spy)
+        _openblas("set", 2)  # a caller's own setting, restored after the command
+        try:
+            code, _, _ = run_cli(
+                capsys, "construct", "--spectrum", '{"m":32,"cells":[0,1,2,3,5,8,13,21]}', "--d", "1"
+            )
+            assert code == (1 if fails else 0)
+            assert _openblas("get") == 2
+        finally:
+            _openblas("set", threads)
+        assert seen == [1]
+
+
 class TestNoAbbreviations:
     """An option a subcommand lacks never passes as a prefix of one it has."""
 
@@ -290,6 +338,9 @@ class TestSweep:
             ("--m-list", "-16", "m must be at least 1, got -16"),
             ("--m-list", "16,2", "|S| fraction 1/4 empty at m=2"),
             ("--seed", "-1", "--seed must be non-negative, got -1"),
+            ("--d-list", "1,-1", "d must be positive, got -1.0"),
+            ("--d-list", "nan", "d must be positive, got nan"),
+            ("--d-list", "0.5,0", "d must be positive, got 0.0"),
         ],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -62,9 +62,18 @@ class TestVectorSystem:
         with pytest.raises(ValueError):
             ef.VectorSystem(vecs, equal_norm=True)
 
-    def test_fourier_rows_qualify(self):
-        sys = fourier_system(ef.GridSpectrum(8, (0, 3, 5)))
-        assert sys.parseval and sys.equal_norm and sys.m == 8 and sys.n == 3
+    @pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (8, 3), (32, 31), (1024, 176), (4096, 8)])
+    def test_fourier_rows_qualify(self, m, n):
+        # fourier_system runs none of the checks: its rows must pass them all
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(59, m, n)))
+        cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
+        sys = fourier_system(ef.GridSpectrum(m, cells))
+        assert sys.parseval and sys.equal_norm and sys.m == m and sys.n == n
+        assert not sys.vectors.flags.writeable
+        checked = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        expected = ef.dft_submatrix(m, range(m), cells) / math.sqrt(m)
+        assert sys.vectors.dtype == expected.dtype and sys.vectors.shape == expected.shape
+        assert sys.vectors.tobytes() == expected.tobytes() == checked.vectors.tobytes()
 
 
 class TestBssSelect:
@@ -550,7 +559,13 @@ class TestFourierRoute:
         cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
         grid = fourier_system(ef.GridSpectrum(m, cells))
         generic = ef.VectorSystem(grid.vectors)
-        assert grid.grid == (m, cells) and generic.grid is None
+        # only fourier_system's systems take the FFT route; rows passed in,
+        # even these same rows with both flags, take the dense one
+        assert grid._cell_diffs is not None
+        assert generic._cell_diffs is None
+        assert ef.VectorSystem(grid.vectors, parseval=True, equal_norm=True)._cell_diffs is None
+        with pytest.raises(TypeError):  # no grid claim on rows passed in
+            ef.VectorSystem(grid.vectors, grid=(m, cells))
         x = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
         h1, h2 = x[0] + x[0].conj().T, x[1] + x[1].conj().T
         for b in (h1, h1 + 1j * h2):
@@ -561,15 +576,6 @@ class TestFourierRoute:
         for part, h in ((packed.real, h1), (packed.imag, h2)):
             ref = generic.quad_forms(h).real
             assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_grid_mismatch_raises(self):
-        rows = fourier_system(ef.GridSpectrum(8, (0, 3, 5))).vectors
-        for grid in ((8, (0, 3, 6)), (8, (0, 5, 3)), (16, (0, 3, 5)), (8, (0, 3)), (8, (0, 3, 8))):
-            with pytest.raises(ValueError):
-                ef.VectorSystem(rows, grid=grid)
-        with pytest.raises(ValueError):
-            ef.VectorSystem(rows.conj(), grid=(8, (0, 3, 5)))
-        assert ef.VectorSystem(rows, grid=(8, [0, 3, 5])).grid == (8, (0, 3, 5))
 
 
 class TestDeterministicTies:
