@@ -20,19 +20,22 @@ The greedy loops keep one eigendecomposition per step and score every
 candidate in closed form from it (barrier shifts for the two-sided engine,
 Sherman-Morrison for the upper potential, a secular equation for the
 bordered Gram floor).  Each step picks, then updates or decomposes, then
-logs.  The two-sided and upper engines add one rank-one term per step and
-update their decomposition (_eig_update) instead of decomposing the
-running sum: the update is a real diagonal-plus-rank-one eigenproblem,
-solved by LAPACK's rank-one merge (dlaed2/dlaed3, secular equation and
-Gu-Eisenstat eigenvectors) from n = LAED_MIN_N on where numpy's bundled
-OpenBLAS exports it, else by one dense real eigh.  The Riesz engine
-decomposes its growing Gram with a bare np.linalg.eigh.  The scores depend
-only on the spectral projections, not on eigenvector phases, and only
-steer the greedy.  The two-sided and upper engines read their scores as
-quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
-a system built by construct.fourier_system evaluates with one FFT.  The
-engines only select: they certify nothing, and the bounds of a built set
-are computed once, by expframes.verify.
+logs.  The two-sided and upper engines add one rank-one term per step to
+one eigen-state of the running sum A (_EigState) instead of decomposing
+A: the update is a real diagonal-plus-rank-one eigenproblem, solved by
+LAPACK's rank-one merge (dlaed2/dlaed3, secular equation and Gu-Eisenstat
+eigenvectors) from order LAED_MIN_N on where numpy's bundled OpenBLAS
+exports it, else by one dense real eigh.  From n = RANK_MIN_N on, while A
+has rank r < n, the state holds only an n x r basis of its range: the
+rank-one solve then has order r + 1, and it, the rotation and the packed
+product of rank r cost O(n r^2) instead of O(n^3).  The Riesz
+engine decomposes its growing Gram with a bare np.linalg.eigh.  The scores
+depend only on the spectral projections, not on eigenvector phases, and
+only steer the greedy.  The two-sided and upper engines read their scores
+as quadratic forms of one n x n matrix (VectorSystem.quad_forms), which
+only a system built by construct.fourier_system evaluates with one FFT.
+The engines only select: they certify nothing, and the bounds of a built
+set are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
@@ -80,6 +83,12 @@ SECULAR_MAX_ITER = 100
 # rank-one merge (_laed_eigh), smaller ones through a dense eigh, which
 # is faster there: the merge's fixed cost is the Python around it.
 LAED_MIN_N = 16
+# The greedies' eigen-state (_EigState) holds only the range of its
+# rank-deficient running sum from this order on.  Below it the range update's
+# extra Python costs at least what its smaller products save: whole runs
+# were 10-30% slower at n = 16..48, even at n = 56..64, 1-5% faster at
+# n = 72 and 5-15% faster at n = 80..96.
+RANK_MIN_N = 72
 
 
 def safe_ceil(x: float) -> int:
@@ -118,7 +127,8 @@ class VectorSystem:
     vectors: np.ndarray
     parseval: bool = False
     equal_norm: bool = False
-    # Systems built by _fourier: (r_b - r_a) mod m for every entry (a, b) of an n x n matrix.
+    # Systems built by _fourier: with d = (r_b - r_a) mod m for every entry (a, b)
+    # of an n x n matrix, the bins 2d and 2d + 1 of its real and imaginary parts.
     _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,7 +163,8 @@ class VectorSystem:
         rows = dft_submatrix(m, range(m), cells) / math.sqrt(m)
         rows.setflags(write=False)
         r = np.asarray(cells, dtype=np.int64)
-        diffs = ((r[None, :] - r[:, None]) % m).ravel()
+        diffs = 2 * ((r[None, :] - r[:, None]) % m).ravel()
+        diffs = np.stack((diffs, diffs + 1), axis=1).ravel()
         system = object.__new__(cls)  # frozen: fill the fields without __init__
         vars(system).update(vectors=rows, parseval=True, equal_norm=True, _cell_diffs=diffs)
         return system
@@ -173,16 +184,15 @@ class VectorSystem:
         difference d = r_b - r_a mod m and takes one inverse FFT of length m,
         since v_j* b v_j = (1/m) sum_d e^{2i pi j d/m} sum_{r_b - r_a = d}
         b[a, b]: O(n^2 + m log m).  Any other system takes the dense O(n^2 m)
-        route.
+        route.  The gather is one bincount over b's entries read as
+        interleaved floats, into 2m bins that read back as m complex sums.
         For Hermitian b the forms are real; b = H1 + i H2 with H1, H2
         Hermitian returns both families at once as real and imaginary parts.
         """
         if self._cell_diffs is None:
             return ((self.vectors.conj() @ b) * self.vectors).sum(axis=1)
-        flat = np.asarray(b, dtype=np.complex128).ravel()
-        real = np.bincount(self._cell_diffs, flat.real, self.m)
-        imag = np.bincount(self._cell_diffs, flat.imag, self.m)
-        return np.fft.ifft(real + 1j * imag)
+        flat = np.ascontiguousarray(b, dtype=np.complex128).ravel().view(np.float64)
+        return np.fft.ifft(np.bincount(self._cell_diffs, flat, 2 * self.m).view(np.complex128))
 
     def outer_sum(self, indices: Iterable[int], weights: Optional[Iterable[float]] = None) -> np.ndarray:
         """Hermitian n x n sum of (weighted) outer products over the indices."""
@@ -289,16 +299,20 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
 
     Margins within TIE_RTOL * (max_i(|U(v_i)| + |L(v_i)|) + s) of the best
     are tied, and the smallest index among them wins.  Step 0 is an exact
-    m-way tie on every equal-norm system, so row 0 is always selected.
+    m-way tie on every equal-norm system, so row 0 is always selected.  At
+    tiny d the band can be wider than every margin; when its smallest index
+    fails the feasibility test, the smallest feasible index in it wins.
 
-    The loop keeps A = U diag(lam) U* and updates it by one rank-one step per
-    pick (_eig_update); both scores of every candidate are the real and
+    The loop keeps A = U diag(lam) U* (_EigState) and updates it by one
+    rank-one step per pick; both scores of every candidate are the real and
     imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
-    step costs one real rank-one solve (LAPACK's O(n^2) secular merge plus
-    an n x n product from n = LAED_MIN_N on, else a dense n x n eigh), two
-    n x n products, then O(n^2 + m log m) on a Fourier grid system.  The
-    ratio guard and the weight scale read the loop's last eigenvalues; no
-    bound is returned.
+    full-rank step costs one real rank-one solve (LAPACK's O(n^2) secular
+    merge plus an n x n product from order LAED_MIN_N on, else a dense
+    eigh), two n x n products, then O(n^2 + m log m) on a Fourier grid
+    system.  While A has rank r < n (the first n steps, from n = RANK_MIN_N
+    on) the solve has order r + 1 and both products have rank r.  The ratio
+    guard and the weight scale read the loop's last eigenvalues; no bound is
+    returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
@@ -327,7 +341,8 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     eps_u = (sq - 1.0) / (sq * (sq + 1.0))
     lower, upper = -n * sq, n / eps_u
 
-    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # A = 0
+    state = _EigState(sys)  # A = 0
+    lam = state.lam
     phi_u, phi_l = n / upper, -n / lower
     norm2_max = float(np.max(np.einsum("ij,ij->i", sys.vectors, sys.vectors.conj()).real))
     weights: dict[int, float] = {}
@@ -349,7 +364,7 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         # both as quadratic forms of one packed matrix.
         g_u = inv_u**2 / denom_u + inv_u
         g_l = inv_l**2 / denom_l - inv_l
-        forms = sys.quad_forms((vecs * (g_u + 1j * g_l)) @ vecs.conj().T)
+        forms = state.forms(g_u + 1j * g_l)
         score_u, score_l = forms.real, forms.imag
         margin = score_l - score_u
         # Tie scale: the size of the scores plus their sensitivity s to the
@@ -357,19 +372,29 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         dg_u = 2.0 * inv_u**3 / denom_u + inv_u**2
         dg_l = -2.0 * inv_l**3 / denom_l + inv_l**2
         sens = norm2_max * max(abs(lam[0]), abs(lam[-1])) * float(np.max(dg_u + np.abs(dg_l)))
-        chosen = _pick(margin, True, float(np.max(np.abs(score_u) + np.abs(score_l))) + sens)
+        tie_scale = float(np.max(np.abs(score_u) + np.abs(score_l))) + sens
+        chosen = _pick(margin, True, tie_scale)
         slack = FEASIBILITY_SLACK * max(1.0, abs(score_u[chosen]), abs(score_l[chosen]))
         if margin[chosen] < -slack:
-            raise NoFeasibleCandidate(
-                f"no index with U <= L at step {step} (best margin {margin[chosen]:.3e})"
-            )
+            # At tiny d the tie band can be wider than every margin and hold
+            # infeasible rows below feasible ones: take the smallest feasible.
+            size = np.maximum(np.abs(score_u), np.abs(score_l))
+            feasible = margin >= -FEASIBILITY_SLACK * np.maximum(1.0, size)
+            band = margin >= margin.max() - TIE_RTOL * tie_scale
+            ok = np.flatnonzero(feasible & band)
+            if ok.size == 0:
+                raise NoFeasibleCandidate(
+                    f"no index with U <= L at step {step} (best margin {margin[chosen]:.3e})"
+                )
+            chosen = int(ok[0])
         t = 2.0 / (score_u[chosen] + score_l[chosen])
         if not (t > 0.0 and math.isfinite(t)):
             raise NoFeasibleCandidate(f"non-positive weight at step {step}")
 
         weights[chosen] = weights.get(chosen, 0.0) + t
         upper, lower = u_next, l_next
-        lam, vecs = _eig_update(lam, vecs, sys.vectors[chosen], t)
+        state.add(sys.vectors[chosen], t)
+        lam = state.lam
         phi_u = float(np.sum(1.0 / (upper - lam)))
         phi_l = float(np.sum(1.0 / (lam - lower)))
         log.append(
@@ -551,10 +576,12 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     doubled and the run restarts.
 
     Per step every candidate is scored in closed form (_upper_scores) and
-    the decomposition of the running sum A is updated by the pick
-    (_eig_update): one real rank-one solve (see bss_select), two n x n
-    products, then O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on
-    any other).
+    the eigen-state of the running sum A (_EigState) is updated by the pick:
+    one real rank-one solve (see bss_select), two n x n products, then
+    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).  The
+    k = n + 1 picks of a Bessel set leave A rank-deficient until the n-th,
+    so from n = RANK_MIN_N on nearly every step has a solve of order r + 1
+    and products of rank r.
     """
     m, n = sys.m, sys.n
     if k > m:
@@ -573,18 +600,18 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     return SelectionResult(tuple(sorted(step.index for step in log)), (), float(k), log)
 
 
-def _upper_scores(sys: VectorSystem, lam: np.ndarray, vecs: np.ndarray, u_next: float):
+def _upper_scores(state: _EigState, u_next: float):
     """Feasibility and post-step upper potential of every candidate at once.
 
-    lam, vecs decompose the running sum A = U diag(lam) U*, and u_next must
-    exceed lam_max(A).  With q1 = v*(u'-A)^-1 v and q2 = v*(u'-A)^-2 v,
-    adding vv* keeps lambda_max under u' iff q1 < 1, and by Sherman-Morrison
-    the new potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Both
-    forms come from one quad_forms call on U diag(g + i g^2) U*, g = 1/(u'-lam).
+    state decomposes the running sum A, and u_next must exceed lam_max(A).
+    With q1 = v*(u'-A)^-1 v and q2 = v*(u'-A)^-2 v, adding vv* keeps
+    lambda_max under u' iff q1 < 1, and by Sherman-Morrison the new
+    potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Both forms are
+    one state.forms call with c = g + i g^2, g = 1/(u'-lam).
     Returns (feasible, phi) with phi = inf where infeasible.
     """
-    inv = 1.0 / (u_next - lam)
-    forms = sys.quad_forms((vecs * (inv + 1j * inv**2)) @ vecs.conj().T)
+    inv = 1.0 / (u_next - state.lam)
+    forms = state.forms(inv + 1j * inv**2)
     q1, q2 = forms.real, forms.imag
     feasible = q1 < 1.0
     phi = np.full(q1.shape, np.inf)
@@ -597,15 +624,14 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
 
     Returns its BarrierSteps, or None when a step has no feasible candidate.
     """
-    n = sys.n
     delta = u0 / k
     u = u0
-    lam, vecs = np.zeros(n), np.eye(n, dtype=np.complex128)  # A = 0
+    state = _EigState(sys)  # A = 0
     free = np.ones(sys.m, dtype=bool)
     log: list[BarrierStep] = []
     for step in range(k):
         u_next = u + delta
-        feasible, phi = _upper_scores(sys, lam, vecs, u_next)
+        feasible, phi = _upper_scores(state, u_next)
         cand = np.flatnonzero(feasible & free)
         pos = _pick(phi[cand], maximize=False)
         if pos < 0:
@@ -613,11 +639,73 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
         best = int(cand[pos])
         free[best] = False
         u = u_next
-        lam, vecs = _eig_update(lam, vecs, sys.vectors[best], 1.0)
+        state.add(sys.vectors[best], 1.0)
+        lam = state.lam
         log.append(
             BarrierStep(step, u, None, float(phi[best]), None, best, 1.0, float(lam[0]), float(lam[-1]))
         )
     return tuple(log)
+
+
+class _EigState:
+    """Eigendecomposition of the running sum A = sum_j t_j v_j v_j* of a greedy.
+
+    lam holds all n eigenvalues of A, ascending.  While A has rank r < n,
+    vecs holds only an orthonormal basis of its range, n x r, for the top
+    eigenvalues lam[n - r:]; the n - r null eigenvalues are exact zeros and
+    their eigenvectors stay implicit.  At r = n, vecs is the unitary U of
+    A = U diag(lam) U*.  Below RANK_MIN_N the state starts there, with
+    A = 0 and U = I, and never holds a partial basis.
+    """
+
+    def __init__(self, sys: VectorSystem):
+        n = sys.n
+        self.sys = sys
+        self.lam = np.zeros(n)
+        self.vecs = np.eye(n, n if n < RANK_MIN_N else 0, dtype=np.complex128)
+
+    def forms(self, c: np.ndarray) -> np.ndarray:
+        """v_j* f(A) v_j of every row j, where f maps each lam[k] to c[k].
+
+        With a partial basis V, f(A) = V diag(c_r - c_0) V* + c_0 I: the
+        null eigenvalues share c_0 = f(0), so their part of each form is
+        c_0 ||v_j||^2, and the packed product has rank r (8 n r^2 flops
+        instead of 8 n^3).
+        """
+        vecs = self.vecs
+        n, r = vecs.shape
+        if r == n:
+            return self.sys.quad_forms((vecs * c) @ vecs.conj().T)
+        c0 = c[0]
+        packed = (vecs * (c[n - r :] - c0)) @ vecs.conj().T
+        packed.flat[:: n + 1] += c0
+        return self.sys.quad_forms(packed)
+
+    def add(self, v: np.ndarray, t: float) -> None:
+        """Update the state to A + t vv* (t > 0).
+
+        At full rank this is _eig_update.  Otherwise v's residual p outside
+        the range (projected twice, as in classical Gram-Schmidt) becomes a
+        new basis vector with eigenvalue 0 before the rank-one solve, which
+        then runs on r + 1 columns.  The residual is dropped instead when its
+        terms in A + t vv*, t ||v|| ||p|| at most, are below the rounding of
+        A's eigenvalues by dlaed2's deflation test, 8 eps times the larger of
+        lam_max and t ||v||^2.
+        """
+        vecs = self.vecs
+        n, r = vecs.shape
+        if r == n:
+            self.lam, self.vecs = _eig_update(self.lam, vecs, v, t)
+            return
+        resid = v - vecs @ (v.conj() @ vecs).conj()
+        resid -= vecs @ (resid.conj() @ vecs).conj()
+        rho2, v2 = np.vdot(resid, resid).real, np.vdot(v, v).real
+        lam = self.lam[n - r :]
+        if t * math.sqrt(v2 * rho2) > 8.0 * np.finfo(float).eps * max(float(self.lam[-1]), t * v2):
+            lam = np.concatenate(([0.0], lam))
+            vecs = np.concatenate(((resid / math.sqrt(rho2))[:, None], vecs), axis=1)
+        lam, self.vecs = _eig_update(lam, vecs, v, t)
+        self.lam = np.concatenate((np.zeros(n - lam.size), lam))
 
 
 def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
@@ -626,7 +714,9 @@ def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
     With z = U* v and the diagonal phase D = diag(z/|z|) (1 where z_k = 0),
     the sum is (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose
     middle factor is real symmetric.  _rank_one_eigh decomposes it into
-    lam' and Q, and U' = (U D) Q, one real n x 2n product.  t must be
+    lam' and Q, and U' = (U D) Q, one real n x 2n product.  U may also be
+    n x k with k < n orthonormal columns whose span holds v (_EigState's
+    range basis); the solve and the product then have order k.  t must be
     positive.  v = 0 leaves lam and vecs unchanged: the middle factor is
     then diag(lam), which the dense route decomposes exactly.
     """

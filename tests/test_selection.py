@@ -446,12 +446,19 @@ def seeded_fourier(i, m):
     return fourier_system(ef.GridSpectrum(m, cells))
 
 
+def full_state(sys, a):
+    """The greedy's eigen-state of a, decomposed afresh with all n columns."""
+    state = selection._EigState(sys)
+    state.lam, state.vecs = np.linalg.eigh(a)
+    return state
+
+
 def replay_upper(sys, res):
     """Check every logged upper step against the eigvalsh oracle."""
     a = np.zeros((sys.n, sys.n), dtype=complex)
     chosen = []
     for step in res.barrier_log:
-        feasible, phi = selection._upper_scores(sys, *np.linalg.eigh(a), step.u)
+        feasible, phi = selection._upper_scores(full_state(sys, a), step.u)
         o_feasible, o_phi = oracle_upper_scores(a, sys.vectors, step.u)
         free = [i for i in range(sys.m) if i not in chosen]
         assert list(feasible[free]) == list(o_feasible[free])
@@ -578,6 +585,22 @@ class TestFourierRoute:
             assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+    @pytest.mark.parametrize("m,n", [(8, 3), (256, 64), (1024, 176)])
+    def test_one_bincount_matches_two(self, m, n):
+        # the interleaved gather sums each bin in the same order as one
+        # bincount per part, so the forms are bit-identical
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(89, m, n)))
+        r = np.sort(rng.choice(m, n, replace=False))
+        grid = fourier_system(ef.GridSpectrum(m, tuple(int(c) for c in r)))
+        diffs = ((r[None, :] - r[:, None]) % m).ravel()
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for b in (x + x.conj().T, (x + x.conj().T).T):  # C and Fortran order
+            flat = b.ravel()
+            real, imag = np.bincount(diffs, flat.real, m), np.bincount(diffs, flat.imag, m)
+            ref = np.fft.ifft(real + 1j * imag)
+            assert np.array_equal(grid.quad_forms(b).view(np.float64), ref.view(np.float64))
+
+
 class TestDeterministicTies:
     @pytest.mark.parametrize("i", range(8))
     def test_residue_zero_always_selected(self, i):
@@ -619,6 +642,13 @@ class TestDeterministicTies:
         for system in (sys, dense):
             log = ef.bss_select(system, q).barrier_log
             assert [step.index for step in log[:3]] == [0, 1, 4]
+
+    def test_infeasible_tie_pick_falls_to_smallest_feasible(self):
+        # at d = 1e-4 the step-1 tie band spans every margin; its smallest
+        # index, row 0, has U > L, so the smallest feasible index, row 1, wins
+        sys = fourier_system(ef.GridSpectrum(8, (1, 3)))
+        log = ef.bss_unweighted(sys, 1e-4).barrier_log
+        assert [step.index for step in log] == [0, 1, 2]
 
     def test_pick_scale_sets_the_tolerance(self):
         # margins are differences of scores near 1e3: a 1e-11 gap is rounding
@@ -689,6 +719,118 @@ class TestEigUpdate:
             a += step.weight * np.outer(v, v.conj())
         ref = np.linalg.eigvalsh(a)
         assert np.allclose(updates[-1][0], ref, rtol=1e-12, atol=0.0)
+
+
+def run_with_rank_min_n(monkeypatch, rank_min_n, run):
+    """run() with the eigen-state's crossover at rank_min_n."""
+    with monkeypatch.context() as patch:
+        patch.setattr(selection, "RANK_MIN_N", rank_min_n)
+        return run()
+
+
+# all-even cells at m = 64: rows j and j + 32 coincide, and the 24 rows the
+# greedies pick first span only 23 directions
+EVEN_CELLS = (0, 4, 6, 10, 14, 16, 18, 22, 24, 26, 28, 32, 34, 36, 38, 40, 42, 44, 50, 52, 54,
+              56, 60, 62)
+
+
+def rank_aware_systems():
+    systems = [
+        pytest.param(seeded_fourier(i, (8, 16, 32, 64, 128)[i % 5]), id=f"seeded-{i}")
+        for i in range(10)
+    ]
+    return systems + [
+        pytest.param(fourier_system(ef.GridSpectrum(8, (0, 2, 4, 6))), id="coincident-8"),
+        pytest.param(fourier_system(ef.GridSpectrum(64, EVEN_CELLS)), id="even-64"),
+        pytest.param(restart_system(), id="dense-rows"),  # not Parseval: upper_select only
+    ]
+
+
+class TestRankAwareState:
+    """The partial-basis eigen-state against the full-rank loop."""
+
+    @pytest.mark.parametrize("sys", rank_aware_systems())
+    def test_same_picks_and_spectra_as_full_rank_loop(self, monkeypatch, sys):
+        qs = (1.05, 2.0, 4.0) if sys.parseval else ()
+        runs = [lambda q=q: ef.bss_select(sys, q) for q in qs if q * sys.n <= 10 * sys.m]
+        runs.append(lambda: ef.upper_select(sys, min(sys.n + 1, sys.m)))
+        for run in runs:
+            # the reference loop: every step at full rank, n columns from step 0
+            ref = run_with_rank_min_n(monkeypatch, sys.n + 1, run).barrier_log
+            got = run_with_rank_min_n(monkeypatch, 1, run).barrier_log
+            assert [step.index for step in got] == [step.index for step in ref]
+            for a, b in zip(got, ref):
+                scale = max(1.0, abs(b.lam_max))
+                assert abs(a.lam_min - b.lam_min) <= 1e-11 * scale
+                assert abs(a.lam_max - b.lam_max) <= 1e-11 * scale
+
+    def test_coincident_row_is_deflated(self, monkeypatch):
+        # rows 1 and 5 are equal, so the second adds no direction
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+        sys = fourier_system(ef.GridSpectrum(8, (0, 2, 4, 6)))
+        v1, v5 = sys.vectors[1], sys.vectors[5]
+        assert np.array_equal(v1, v5)
+        state = selection._EigState(sys)
+        state.add(np.zeros(4, dtype=complex), 1.0)  # a zero row adds nothing
+        assert state.vecs.shape == (4, 0) and np.array_equal(state.lam, np.zeros(4))
+        state.add(v1, 1.0)
+        state.add(v5, 2.0)
+        assert state.vecs.shape == (4, 1)
+        assert np.array_equal(state.lam[:3], np.zeros(3))
+        assert math.isclose(state.lam[3], 3.0 * 0.5, rel_tol=1e-14)
+        state.add(sys.vectors[2], 1.0)  # a new direction
+        assert state.vecs.shape == (4, 2)
+
+    def test_engines_take_the_deflation_branch(self, monkeypatch):
+        sys = fourier_system(ef.GridSpectrum(64, EVEN_CELLS))
+        ranks = []
+        add = selection._EigState.add
+
+        def recording(state, v, t):
+            before = state.vecs.shape[1]
+            add(state, v, t)
+            ranks.append((before, state.vecs.shape[1]))
+
+        monkeypatch.setattr(selection._EigState, "add", recording)
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+        for run in (lambda: ef.bss_select(sys, 2.0), lambda: ef.upper_select(sys, 25)):
+            ranks.clear()
+            run()
+            assert (23, 23) in ranks and ranks[-1][1] == 24
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_partial_basis_holds_the_sum(self, monkeypatch, n):
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(83, n)))
+        m = 4 * n
+        sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
+        state = selection._EigState(sys)
+        a = np.zeros((n, n), dtype=complex)
+        for step, j in enumerate(rng.choice(m, n + 2, replace=False)):
+            t = float(rng.uniform(0.5, 2.0))
+            state.add(sys.vectors[j], t)
+            a += t * np.outer(sys.vectors[j], sys.vectors[j].conj())
+            vecs, lam = state.vecs, state.lam
+            r = vecs.shape[1]
+            assert r == min(step + 1, n)
+            assert np.all(np.diff(lam) >= 0.0) and np.all(lam[: n - r] == 0.0)
+            assert np.abs(vecs.conj().T @ vecs - np.eye(r)).max() <= 1e-13
+            held = (vecs * lam[n - r :]) @ vecs.conj().T
+            assert np.abs(held - a).max() <= 1e-13 * np.abs(a).max()
+            # forms of U diag(c) U* with U = [null-space basis, vecs], the
+            # null eigenvalues sharing c[0], on the dense route
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            c[: n - r] = c[0]
+            q, _ = np.linalg.qr(np.concatenate((vecs, rng.normal(size=(n, n - r))), axis=1))
+            u = np.concatenate((q[:, r:], vecs), axis=1)
+            ref = ef.VectorSystem(sys.vectors).quad_forms((u * c) @ u.conj().T)
+            assert np.abs(state.forms(c) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_crossover(self):
+        n0 = selection.RANK_MIN_N
+        for n, r in ((n0 - 1, n0 - 1), (n0, 0)):
+            sys = fourier_system(ef.GridSpectrum(2 * n, tuple(range(n))))
+            assert selection._EigState(sys).vecs.shape == (n, r)
 
 
 def solve_by(route, lam, w):
@@ -854,23 +996,45 @@ class TestRitSize:
         assert len(build_riesz(ef.GridSpectrum(8, (2, 4)), 0.5).sampling_set.residues) == 1
 
 
+def solve_orders(sys, log):
+    """Order of each step's rank-one solve: the rank of the sum after the pick.
+
+    Below RANK_MIN_N the eigen-state holds all n columns from the start.
+    """
+    n = sys.n
+    if n < selection.RANK_MIN_N:
+        return [n] * len(log)
+    picks = [step.index for step in log]
+    return [int(np.linalg.matrix_rank(sys.vectors[picks[: s + 1]])) for s in range(len(picks))]
+
+
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
     One decomposition per pick in each greedy loop.  The two-sided and
     upper loops update theirs by one real rank-one solve per pick
-    (_eig_update), through whichever route ran: LAPACK's rank-one merge
+    (_EigState.add), through whichever route ran: LAPACK's rank-one merge
     ("laed", counted when it returns a result) or a real eigh; they make
-    no complex eigh call at all.  The Riesz loop decomposes its Gram with
-    np.linalg.eigh.  The engines certify nothing and size the Riesz
-    selection without a decomposition, so they make no hermitian_eig call,
-    and no candidate gets its own eigvalsh call.
+    no complex eigh call at all.  While the running sum has rank r < n
+    (from RANK_MIN_N on), the solve has order r + 1, or r when the pick
+    adds no direction; at full rank, and below RANK_MIN_N, it has order n.
+    The Riesz loop decomposes its Gram with np.linalg.eigh.  The engines
+    certify nothing and size the Riesz selection without a decomposition,
+    so they make no hermitian_eig call, and no candidate gets its own
+    eigvalsh call.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = dict.fromkeys(
             ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "steps", "runs"), 0
+        )
+        tally["orders"] = []
+        rank_one = selection._rank_one_eigh
+        monkeypatch.setattr(
+            selection,
+            "_rank_one_eigh",
+            lambda lam, w: tally["orders"].append(lam.size) or rank_one(lam, w),
         )
 
         def counting(key, fn):
@@ -901,11 +1065,20 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("case", ["fourier", "restart"])
     def test_upper_select(self, counts, case):
+        self.check_upper_select(counts, case)
+
+    @pytest.mark.parametrize("case", ["fourier", "restart"])
+    def test_upper_select_partial_basis(self, counts, monkeypatch, case):
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+        self.check_upper_select(counts, case)
+
+    @staticmethod
+    def check_upper_select(counts, case):
         if case == "fourier":
             sys, k = fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 5)))), 14
         else:
             sys, k = restart_system(), 4
-        ef.upper_select(sys, k)
+        res = ef.upper_select(sys, k)
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
@@ -913,6 +1086,8 @@ class TestWorkCount:
         assert counts["eigh_real"] + counts["laed"] == counts["steps"] - restarts
         if case == "restart":
             assert restarts >= 1
+        # the last run's solves, one per logged pick
+        assert counts["orders"][-len(res.barrier_log) :] == solve_orders(sys, res.barrier_log)
 
     def test_rit_select(self, counts):
         res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
@@ -921,10 +1096,30 @@ class TestWorkCount:
         assert counts["eigh"] == len(res.barrier_log)
 
     def test_bss_select(self, counts):
-        res = ef.bss_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 2.0)
+        self.check_bss_select(counts)
+
+    def test_bss_select_partial_basis(self, counts, monkeypatch):
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+        self.check_bss_select(counts)
+
+    @staticmethod
+    def check_bss_select(counts):
+        sys = fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3))))
+        res = ef.bss_select(sys, 2.0)
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
         assert counts["eigh_real"] + counts["laed"] == len(res.barrier_log)
+        assert counts["orders"] == solve_orders(sys, res.barrier_log)
+
+    def test_bss_select_rank_deficient_at_the_default_crossover(self, counts):
+        # n = RANK_MIN_N: the first n steps solve orders 1, 2, ..., n
+        n = selection.RANK_MIN_N
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(79, n)))
+        cells = tuple(sorted(rng.choice(4 * n, n, replace=False)))
+        sys = fourier_system(ef.GridSpectrum(4 * n, cells))
+        res = ef.bss_select(sys, 1.5)
+        assert counts["orders"] == solve_orders(sys, res.barrier_log)
+        assert counts["orders"][:n] == list(range(1, n + 1))
 
     def test_bss_unweighted_stops_at_full_coverage(self, counts):
         # a cli-mix sampling request whose greedy picks all 32 rows by step 32
