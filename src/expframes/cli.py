@@ -66,26 +66,12 @@ def _as_grid(spec, m_arg):
     return quantize_inner(spec, int(m_arg))
 
 
-def _parse_residues(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, convert, what: str) -> list:
+    """Comma-separated values through convert; empty tokens are skipped."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"bad residue list {text!r}") from exc
-
-
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad fraction list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad {what} list {text!r}") from exc
 
 
 def _emit_json(obj) -> None:
@@ -112,18 +98,18 @@ def cmd_construct(args) -> int:
     grid = _as_grid(_load_spectrum(args.spectrum), args.m)
     if args.k is not None and args.mode != "bessel":
         raise ValueError("--k is only valid with --mode bessel")
+    if args.d is not None and args.mode == "bessel":
+        raise ValueError("--d is only valid with --mode sampling or riesz")
     if args.mode == "sampling":
         if args.d is None:
             raise ValueError("--mode sampling needs --d")
         report = cons.build_sampling(grid, args.d)
     elif args.mode == "bessel":
         report = cons.build_bessel(grid, args.k)
-    elif args.mode == "riesz":
+    else:
         if args.d is None:
             raise ValueError("--mode riesz needs --d in (0, 1)")
         report = cons.build_riesz(grid, args.d)
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     if args.format == "csv":
         _emit_csv(cons.CSV_COLUMNS, [report.csv_row()])
     else:
@@ -133,7 +119,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     grid = _as_grid(_load_spectrum(args.spectrum), args.m)
-    lam = cons.SamplingSet(grid.m, _parse_residues(args.residues))
+    lam = cons.SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
     report = ver.sampling_bounds(grid, lam)
     payload = report.to_dict()
     payload["landau_violation"] = bool(
@@ -153,7 +139,7 @@ def cmd_verify(args) -> int:
 
 def cmd_duality(args) -> int:
     grid = _as_grid(_load_spectrum(args.spectrum), args.m)
-    lam = cons.SamplingSet(grid.m, _parse_residues(args.residues))
+    lam = cons.SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
     report = ver.duality_check(grid, lam)
     _emit_json(report.to_dict())
     ok = report.vacuous or (report.factor_two_pass and report.exact_identity_pass)
@@ -164,7 +150,7 @@ def cmd_exhaust(args) -> int:
     spec = _load_spectrum(args.spectrum)
     if isinstance(spec, GridSpectrum):
         spec = spec.to_interval_set()
-    schedule = _parse_int_list(args.schedule)
+    schedule = _parse_list(args.schedule, int, "schedule")
     stages = cons.exhaust_general(spec, args.d, schedule, mode=args.mode)
     if args.format == "json":
         _emit_json([st.to_dict() for st in stages])
@@ -177,9 +163,9 @@ def _sweep_points(args) -> list[tuple[int, int, float]]:
     """The (m, n, d) grid in output order, refused whole before any build."""
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    ms = _parse_int_list(args.m_list)
-    fracs = _parse_fraction_list(args.s_list)
-    ds = _parse_float_list(args.d_list)
+    ms = _parse_list(args.m_list, int, "m")
+    fracs = _parse_list(args.s_list, Fraction, "fraction")
+    ds = _parse_list(args.d_list, float, "d")
     for m in ms:
         if m < 1:
             raise ValueError(f"m must be at least 1, got {m}")
@@ -208,13 +194,14 @@ def _sweep_case(m: int, n: int, d: float, seed: int, procs=None):
         report = cons.build_sampling(grid, d)
     else:
         report = procs.apply(cons.build_sampling, (grid, d))
+    bounds = report.bounds
     s_meas = n / m
     target = lower_certificate_constant(d) * s_meas
     return [
         m, n, d, len(report.sampling_set.residues),
-        float(report.density), float(report.landau_floor),
-        report.certified_lower, report.certified_upper, target, s_meas**2,
-        bool(report.certified_lower >= target),
+        float(bounds.density), float(bounds.landau_floor),
+        bounds.lower, bounds.upper, target, s_meas**2,
+        bool(bounds.lower >= target),
     ]
 
 

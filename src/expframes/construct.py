@@ -12,7 +12,6 @@ grid quantizations of an arbitrary interval union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import verify
@@ -58,12 +57,6 @@ class SamplingSet:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "residues", res)
 
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.m)
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "residues": list(self.residues), "kind": self.kind}
-
 
 def fourier_system(g: GridSpectrum) -> VectorSystem:
     """Rows of the normalized Fourier submatrix over the spectrum cells.
@@ -80,23 +73,20 @@ CSV_COLUMNS = ("m", "n", "J", "density", "landau_floor", "lower", "upper", "C_ta
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """A constructed periodic set with recomputed certified bounds.
+    """A constructed periodic set with the bounds verify certified for it.
 
-    constant_check holds the certificate target C(d) * |S| for sampling and
-    riesz kinds, and the achieved empirical ratio upper/|S| for bessel kind
-    (no target exists there).  passed records the certificate comparison
-    (always True for bessel reports, which are descriptive).
+    bounds is the builder's one verify report.  constant_check holds the
+    certificate target C(d) * |S| for sampling and riesz kinds, and the
+    achieved empirical ratio upper/|S| for bessel kind (no target exists
+    there).  A builder raises CertificateFailed rather than report a set
+    that misses its target (bessel sets have none), so "pass" is always true.
     """
 
     spectrum: GridSpectrum
     sampling_set: SamplingSet
     param: float
-    certified_lower: float
-    certified_upper: float
-    density: Fraction
-    landau_floor: Fraction
+    bounds: verify.BoundReport
     constant_check: float
-    passed: bool
     selection: Optional[SelectionResult] = None
 
     def to_dict(self) -> dict:
@@ -107,12 +97,12 @@ class ConstructionReport:
             "residues": list(self.sampling_set.residues),
             "kind": self.sampling_set.kind,
             "param": self.param,
-            "lower": self.certified_lower,
-            "upper": self.certified_upper,
-            "density": str(self.density),
-            "landau_floor": str(self.landau_floor),
+            "lower": self.bounds.lower,
+            "upper": self.bounds.upper,
+            "density": str(self.bounds.density),
+            "landau_floor": str(self.bounds.landau_floor),
             "constant_check": self.constant_check,
-            "pass": self.passed,
+            "pass": True,
         }
 
     def csv_row(self) -> list:
@@ -120,12 +110,12 @@ class ConstructionReport:
             self.spectrum.m,
             self.spectrum.n,
             len(self.sampling_set.residues),
-            float(self.density),
-            float(self.landau_floor),
-            self.certified_lower,
-            self.certified_upper,
+            float(self.bounds.density),
+            float(self.bounds.landau_floor),
+            self.bounds.lower,
+            self.bounds.upper,
             self.constant_check,
-            self.passed,
+            True,
         ]
 
 
@@ -166,12 +156,8 @@ def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:
         spectrum=g,
         sampling_set=lam,
         param=d,
-        certified_lower=report.lower,
-        certified_upper=report.upper,
-        density=report.density,
-        landau_floor=report.landau_floor,
+        bounds=report,
         constant_check=target,
-        passed=True,
         selection=result,
     )
 
@@ -197,12 +183,8 @@ def build_bessel(g: GridSpectrum, k: Optional[int] = None) -> ConstructionReport
         spectrum=g,
         sampling_set=lam,
         param=float(k),
-        certified_lower=report.lower,
-        certified_upper=report.upper,
-        density=report.density,
-        landau_floor=report.landau_floor,
+        bounds=report,
         constant_check=ratio,
-        passed=True,
         selection=result,
     )
 
@@ -232,12 +214,8 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
         spectrum=omega,
         sampling_set=gamma,
         param=d,
-        certified_lower=report.lower,
-        certified_upper=report.upper,
-        density=report.density,
-        landau_floor=report.landau_floor,
+        bounds=report,
         constant_check=target,
-        passed=True,
         selection=result,
     )
 
@@ -246,21 +224,19 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
 class ExhaustionStage:
     """One stage of the finite exhaustion pipeline.
 
-    Holds the inner quantization at this grid order, its construction
-    report, the complement residues, and the Riesz bounds of the complement
-    exponential system over the complementary cell union (None when either
-    complement is empty).
+    Holds the construction report of the inner quantization at this grid
+    order (report.spectrum), the complement residues, and the Riesz bounds
+    of the complement exponential system over the complementary cell union
+    (None when either complement is empty).
     """
 
-    m: int
-    spectrum: GridSpectrum
     report: ConstructionReport
     complement_residues: tuple[int, ...]
     complement_riesz: Optional[verify.BoundReport]
 
     def to_dict(self) -> dict:
         return {
-            "stage_m": self.m,
+            "stage_m": self.report.spectrum.m,
             "report": self.report.to_dict(),
             "complement_residues": list(self.complement_residues),
             "complement_riesz": (
@@ -308,5 +284,5 @@ def exhaust_general(
             comp_riesz = verify.riesz_bounds(
                 complement(g), SamplingSet(m_k, rest, "riesz")
             )
-        stages.append(ExhaustionStage(m_k, g, report, rest, comp_riesz))
+        stages.append(ExhaustionStage(report, rest, comp_riesz))
     return stages

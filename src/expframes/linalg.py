@@ -11,9 +11,9 @@ bundled OpenBLAS, found through _openblas_function, or a dense eigh), the
 Riesz loop takes one bare np.linalg.eigh per step, and each loop ranks its
 candidates in closed form from that decomposition.  The
 engines make no hermitian_eig call: the Riesz selection is sized from the
-Parseval property, not from a decomposition.  The scores depend on spectral
-projections only, so the eigenvector phase convention of hermitian_eig
-matters only to its callers.
+Parseval property, not from a decomposition.  Every reader of an
+eigendecomposition here depends on eigenvalues or spectral projections
+only, so no eigenvector phase is fixed anywhere.
 """
 
 from __future__ import annotations
@@ -98,14 +98,10 @@ def gram(a: np.ndarray) -> np.ndarray:
 class HermitianSpectrum:
     """Ascending eigenvalues with a unitary eigenvector basis.
 
-    Eigenvectors follow a fixed phase convention so that identical inputs
-    give byte-identical results: in each column the first component of
-    modulus above 1e-8 times the column's max (the pivot) is made real and
-    non-negative (up to rounding), by multiplying the column with the
-    pivot's conjugate over its modulus (taken with hypot).  A column whose
-    pivot is 0 is left untouched, signed zeros included.  Only
-    hermitian_eig's callers rely on it; the greedy loops use bare
-    eigenvectors, whose phases none of their scores depend on.
+    The eigenvectors are numpy's eigh columns as they come, fixed only up
+    to a unit phase each (a unitary rotation within a repeated eigenvalue).
+    Callers read the eigenvalues and sums over spectral projections, such
+    as sum_k f(lambda_k) |u_k* v|^2, which do not depend on that choice.
     """
 
     eigenvalues: np.ndarray
@@ -120,19 +116,8 @@ class HermitianSpectrum:
         return float(self.eigenvalues[-1])
 
 
-def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    mags = np.abs(vecs)
-    pivots = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    z = vecs[pivots, np.arange(vecs.shape[1])]
-    # hypot rounds like the scalar complex abs; np.abs on a complex array
-    # need not, and would move phases by an ulp.
-    r = np.hypot(z.real, z.imag)
-    keep = r > 0
-    return np.multiply(vecs, z.conj() / np.where(keep, r, 1.0), out=vecs.copy(), where=keep)
-
-
 def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
-    """Full spectrum of a Hermitian matrix, deterministic for identical input.
+    """Full spectrum of a Hermitian matrix with a checked residual.
 
     Raises ValueError unless the input is a non-empty finite square matrix,
     and NotHermitian if the asymmetry exceeds HERMITIAN_RTOL relative to the
@@ -149,7 +134,6 @@ def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}")
     hs = 0.5 * (h + h.conj().T)
     vals, vecs = np.linalg.eigh(hs)
-    vecs = _canonical_phases(vecs)
     spec = HermitianSpectrum(vals, vecs)
     hnorm = max(1.0, float(np.abs(vals).max()))
     residual = float(np.abs(hs @ vecs - vecs * vals[None, :]).max())

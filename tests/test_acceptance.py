@@ -58,7 +58,7 @@ def run_sampling_ensemble() -> dict:
         j_size = len(rep.sampling_set.residues)
         cap = math.ceil((1.0 + d) * n)
         target = ef.lower_certificate_constant(d) * n / m
-        ok_cap = j_size <= cap and rep.certified_lower >= target
+        ok_cap = j_size <= cap and rep.bounds.lower >= target
         passed_caps = passed_caps and ok_cap
 
         log = rep.selection.barrier_log
@@ -77,7 +77,7 @@ def run_sampling_ensemble() -> dict:
         ok_ratio = ratio <= bound and ok_barriers
         passed_ratio = passed_ratio and ok_ratio
 
-        rows.append([m, n, d, j_size, rep.certified_lower, target, ratio, ok_cap, ok_ratio])
+        rows.append([m, n, d, j_size, rep.bounds.lower, target, ratio, ok_cap, ok_ratio])
         cases.append((m, list(g.cells), d, list(rep.sampling_set.residues)))
     return {
         "passed_certificates": passed_caps,
@@ -170,11 +170,11 @@ def run_restricted_invertibility() -> dict:
                     target = ef.riesz_floor_constant(d) * n / m
                     ok = (
                         len(rep.sampling_set.residues) >= floor
-                        and rep.certified_lower >= target
+                        and rep.bounds.lower >= target
                     )
                     passed = passed and ok
                     rows.append(
-                        [m, n, d, trial, len(rep.sampling_set.residues), rep.certified_lower, target, ok]
+                        [m, n, d, trial, len(rep.sampling_set.residues), rep.bounds.lower, target, ok]
                     )
     return {"passed": passed, "rows": rows}
 
@@ -206,20 +206,21 @@ def run_exhaustion() -> dict:
     stages = ef.exhaust_general(s, d, [2**p for p in range(4, 11)])
     rows, passed, prev = [], True, 0.0
     for st in stages:
-        meas = float(ef.measure(st.spectrum))
-        cap = math.ceil((1.0 + d) * st.spectrum.n) / st.m
+        g, bounds = st.report.spectrum, st.report.bounds
+        meas = float(ef.measure(g))
+        cap = math.ceil((1.0 + d) * g.n) / g.m
         target = ef.lower_certificate_constant(d) * meas
         ok = (
             meas >= prev - 1e-15
-            and abs(meas - s.measure()) <= 4.0 / st.m
-            and st.report.certified_lower >= target
-            and float(st.report.density) <= cap
+            and abs(meas - s.measure()) <= 4.0 / g.m
+            and bounds.lower >= target
+            and float(bounds.density) <= cap
         )
         passed = passed and ok
         prev = meas
         rows.append(
-            [st.m, st.spectrum.n, len(st.report.sampling_set.residues), meas,
-             st.report.certified_lower, target, float(st.report.density), cap, ok]
+            [g.m, g.n, len(st.report.sampling_set.residues), meas,
+             bounds.lower, target, float(bounds.density), cap, ok]
         )
     return {"passed": passed, "rows": rows}
 

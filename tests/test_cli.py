@@ -106,6 +106,39 @@ class TestConstruct:
         )
         assert code == 2 and "input error" in err
 
+    def test_d_not_with_bessel(self, capsys):
+        code, out, err = run_cli(
+            capsys, "construct", "--spectrum", '{"m":8,"cells":[1,3]}', "--mode", "bessel",
+            "--d", "0.5",
+        )
+        assert code == 2 and out == "" and "input error" in err
+
+    @pytest.mark.parametrize(
+        "mode,extra,bounds",
+        [
+            ("sampling", ("--d", "1"), verify.sampling_bounds),
+            ("bessel", (), verify.sampling_bounds),
+            ("riesz", ("--d", "0.5"), verify.riesz_bounds),
+        ],
+    )
+    def test_json_keys_and_fresh_bounds(self, capsys, mode, extra, bounds):
+        code, out, _ = run_cli(
+            capsys, "construct", "--spectrum", '{"m":16,"cells":[0,3,5,9]}', "--mode", mode, *extra
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == [
+            "m", "n", "cells", "residues", "kind", "param", "lower", "upper", "density",
+            "landau_floor", "constant_check", "pass",
+        ]
+        assert payload["kind"] == mode and payload["pass"] is True
+        grid = expframes.GridSpectrum(16, (0, 3, 5, 9))
+        with cli._one_blas_thread():
+            fresh = bounds(grid, expframes.SamplingSet(16, payload["residues"], mode))
+        assert payload["lower"] == fresh.lower and payload["upper"] == fresh.upper
+        assert payload["density"] == str(fresh.density)
+        assert payload["landau_floor"] == str(fresh.landau_floor)
+
     def test_interval_spectrum_needs_m(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--spectrum", '{"intervals":[[0.0,3.141592653589793]]}', "--d", "1"
@@ -296,6 +329,26 @@ class TestNoAbbreviations:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+class TestListArguments:
+    """Every comma-separated option fails the same way on a bad token."""
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (("sweep", "--m-list", "x", "--s-list", "1/4", "--d-list", "1"), "m"),
+            (("sweep", "--m-list", "16", "--s-list", "x", "--d-list", "1"), "fraction"),
+            (("sweep", "--m-list", "16", "--s-list", "1/4", "--d-list", "x"), "d"),
+            (("exhaust", "--spectrum", '{"m":8,"cells":[0,1]}', "--schedule", "x"), "schedule"),
+            (("verify", "--spectrum", '{"m":8,"cells":[0,1]}', "--residues", "x"), "residue"),
+            (("duality", "--spectrum", '{"m":8,"cells":[0,1]}', "--residues", "x"), "residue"),
+        ],
+    )
+    def test_bad_list_names_the_list(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"input error: bad {what} list 'x'\n"
 
 
 class TestSweep:

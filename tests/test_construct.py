@@ -33,65 +33,65 @@ class TestBuildSampling:
     def test_single_cell(self):
         rep = ef.build_sampling(ef.GridSpectrum(4, (0,)), 1.0)
         assert len(rep.sampling_set.residues) == 1
-        assert math.isclose(rep.certified_lower, 0.25, rel_tol=1e-12)
-        assert math.isclose(rep.certified_upper, 0.25, rel_tol=1e-12)
+        assert math.isclose(rep.bounds.lower, 0.25, rel_tol=1e-12)
+        assert math.isclose(rep.bounds.upper, 0.25, rel_tol=1e-12)
 
     def test_two_cell_certificate_with_oracle(self):
         g = ef.GridSpectrum(4, (0, 1))
         rep = ef.build_sampling(g, 1.0)
         assert len(rep.sampling_set.residues) <= 4
         target = ef.lower_certificate_constant(1.0) * 0.5
-        assert rep.certified_lower >= target
+        assert rep.bounds.lower >= target
         # exhaustive feasibility: the best subset at the same size dominates
         sys = fourier_system(g)
         _, best = ef.brute_force_best(sys, len(rep.sampling_set.residues), "max-of-lambda_min")
-        assert best >= rep.certified_lower - 1e-12
+        assert best >= rep.bounds.lower - 1e-12
 
     def test_full_spectrum_forces_all_integers(self):
         m = 6
         rep = ef.build_sampling(ef.GridSpectrum(m, tuple(range(m))), 0.7)
         assert rep.sampling_set.residues == tuple(range(m))
-        assert math.isclose(rep.certified_lower, 1.0, rel_tol=1e-10)
-        assert math.isclose(rep.certified_upper, 1.0, rel_tol=1e-10)
+        assert math.isclose(rep.bounds.lower, 1.0, rel_tol=1e-10)
+        assert math.isclose(rep.bounds.upper, 1.0, rel_tol=1e-10)
 
     def test_density_between_landau_and_cap(self):
         g = ef.GridSpectrum(32, (0, 5, 11, 17, 23, 29))
         d = 1.0
         rep = ef.build_sampling(g, d)
         cap = Fraction(math.ceil((1 + d) * g.n), g.m)
-        assert rep.landau_floor <= rep.density <= cap
+        assert rep.bounds.landau_floor <= rep.bounds.density <= cap
 
     def test_bounds_recomputed_independently(self):
         g = ef.GridSpectrum(16, (0, 3, 9))
         rep = ef.build_sampling(g, 1.5)
         f = ef.dft_submatrix(g.m, rep.sampling_set.residues, g.cells)
         spec = ef.hermitian_eig(ef.gram(f))
-        assert math.isclose(spec.lam_min / g.m, rep.certified_lower, rel_tol=1e-9)
-        assert math.isclose(spec.lam_max / g.m, rep.certified_upper, rel_tol=1e-9)
+        assert math.isclose(spec.lam_min / g.m, rep.bounds.lower, rel_tol=1e-9)
+        assert math.isclose(spec.lam_max / g.m, rep.bounds.upper, rel_tol=1e-9)
 
 
 class TestBuildBessel:
     def test_single_cell_k2(self):
         rep = ef.build_bessel(ef.GridSpectrum(4, (0,)), 2)
-        assert math.isclose(rep.certified_upper, 0.5, rel_tol=1e-12)
+        assert math.isclose(rep.bounds.upper, 0.5, rel_tol=1e-12)
         assert math.isclose(rep.constant_check, 2.0, rel_tol=1e-12)
 
     def test_two_cell_best_pair(self):
         rep = ef.build_bessel(ef.GridSpectrum(4, (0, 1)), 2)
-        assert math.isclose(rep.certified_upper, 0.5, rel_tol=1e-9)
+        assert math.isclose(rep.bounds.upper, 0.5, rel_tol=1e-9)
         assert math.isclose(rep.constant_check, 1.0, rel_tol=1e-9)
 
     def test_full_grid(self):
         m = 5
         rep = ef.build_bessel(ef.GridSpectrum(m, tuple(range(m))), m)
-        assert math.isclose(rep.certified_upper, 1.0, rel_tol=1e-10)
+        assert math.isclose(rep.bounds.upper, 1.0, rel_tol=1e-10)
         assert math.isclose(rep.constant_check, 1.0, rel_tol=1e-10)
 
     def test_default_is_minimal_excess(self):
         g = ef.GridSpectrum(12, (0, 4))
         rep = ef.build_bessel(g)
         assert len(rep.sampling_set.residues) == g.n + 1
-        assert rep.density > rep.landau_floor
+        assert rep.bounds.density > rep.bounds.landau_floor
 
     def test_k_bounds(self):
         with pytest.raises(KTooLarge):
@@ -104,18 +104,18 @@ class TestBuildRiesz:
     def test_single_cell_singleton(self):
         rep = ef.build_riesz(ef.GridSpectrum(2, (0,)), 0.75)
         assert len(rep.sampling_set.residues) >= 1
-        assert rep.certified_lower >= ef.riesz_floor_constant(0.75) * 0.5
+        assert rep.bounds.lower >= ef.riesz_floor_constant(0.75) * 0.5
 
     def test_full_grid_keeps_everything_orthonormal(self):
         m = 8
         rep = ef.build_riesz(ef.GridSpectrum(m, tuple(range(m))), 0.5)
         assert len(rep.sampling_set.residues) >= math.ceil(0.5 * m)
-        assert math.isclose(rep.certified_lower, 1.0, rel_tol=1e-10)
+        assert math.isclose(rep.bounds.lower, 1.0, rel_tol=1e-10)
 
     def test_half_spectrum_certificate(self):
         rep = ef.build_riesz(ef.GridSpectrum(8, (0, 1, 2, 3)), 0.5)
         target = ef.riesz_floor_constant(0.5) * 0.5
-        assert rep.certified_lower >= target
+        assert rep.bounds.lower >= target
         assert len(rep.sampling_set.residues) >= 2
 
     def test_size_floor(self):
@@ -169,6 +169,26 @@ class TestOneCertification:
         assert len(eig_inputs) == calls
         assert np.array_equal(eig_inputs[-1], final)
 
+    @pytest.mark.parametrize("kind", ["sampling", "bessel", "riesz"])
+    def test_report_holds_the_verify_report(self, monkeypatch, kind):
+        returned = []
+        for name in ("sampling_bounds", "riesz_bounds"):
+            original = getattr(verify, name)
+
+            def spy(*args, _fn=original):
+                returned.append(_fn(*args))
+                return returned[-1]
+
+            monkeypatch.setattr(verify, name, spy)
+        g = ef.GridSpectrum(16, (0, 3, 5, 9))
+        if kind == "sampling":
+            rep = ef.build_sampling(g, 1.0)
+        elif kind == "bessel":
+            rep = ef.build_bessel(g)
+        else:
+            rep = ef.build_riesz(g, 0.5)
+        assert len(returned) == 1 and rep.bounds is returned[0]
+
     @pytest.mark.parametrize("kind", ["sampling", "riesz"])
     def test_bound_below_target_fails_the_build(self, monkeypatch, kind):
         # the engines check no floor: verify's bound alone must fail a
@@ -198,13 +218,13 @@ class TestLargeGrid:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(59, m, n)))
         g = ef.GridSpectrum(m, tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False))))
         sampling = ef.build_sampling(g, 1.0)
-        assert sampling.certified_lower >= ef.lower_certificate_constant(1.0) * n / m
+        assert sampling.bounds.lower >= ef.lower_certificate_constant(1.0) * n / m
         assert len(sampling.sampling_set.residues) <= 2 * n
         bessel = ef.build_bessel(g)
         assert len(bessel.sampling_set.residues) == n + 1
-        assert bessel.certified_lower > 0.0
+        assert bessel.bounds.lower > 0.0
         riesz = ef.build_riesz(g, 0.25)
-        assert riesz.certified_lower >= ef.riesz_floor_constant(0.25) * n / m
+        assert riesz.bounds.lower >= ef.riesz_floor_constant(0.25) * n / m
         assert len(riesz.sampling_set.residues) >= math.ceil(0.75 * n)
 
 
@@ -233,14 +253,14 @@ def test_builders_input_contract(g, d):
     else:
         sampling = ef.build_sampling(g, d)
         assert len(sampling.sampling_set.residues) <= safe_ceil((1.0 + d) * n)
-        assert sampling.certified_lower >= ef.lower_certificate_constant(d) * n / m
+        assert sampling.bounds.lower >= ef.lower_certificate_constant(d) * n / m
     bessel = ef.build_bessel(g)
     assert len(bessel.sampling_set.residues) == min(n + 1, m)
-    assert 0.0 <= bessel.certified_lower <= bessel.certified_upper
+    assert 0.0 <= bessel.bounds.lower <= bessel.bounds.upper
     if d < 1.0:
         riesz = ef.build_riesz(g, d)
         assert len(riesz.sampling_set.residues) >= safe_ceil((1.0 - d) * n)
-        assert riesz.certified_lower >= ef.riesz_floor_constant(d) * n / m
+        assert riesz.bounds.lower >= ef.riesz_floor_constant(d) * n / m
 
 
 class TestExhaustGeneral:
@@ -248,17 +268,17 @@ class TestExhaustGeneral:
         s = ef.IntervalSet(((0.0, math.pi),))
         stages = ef.exhaust_general(s, 1.0, (2, 4, 8))
         for st in stages:
-            assert ef.measure(st.spectrum) == Fraction(1, 2)
-            assert st.report.certified_lower >= ef.lower_certificate_constant(1.0) * 0.5
+            assert ef.measure(st.report.spectrum) == Fraction(1, 2)
+            assert st.report.bounds.lower >= ef.lower_certificate_constant(1.0) * 0.5
 
     def test_two_interval_monotone_and_convergent(self):
         s = ef.IntervalSet(((0.3, 0.9), (2.0, 2.5)))
         stages = ef.exhaust_general(s, 1.0, (16, 32, 64))
         prev = 0.0
         for st in stages:
-            meas = float(ef.measure(st.spectrum))
+            meas = float(ef.measure(st.report.spectrum))
             assert meas >= prev - 1e-15
-            assert abs(meas - s.measure()) <= 4.0 / st.m
+            assert abs(meas - s.measure()) <= 4.0 / st.report.spectrum.m
             prev = meas
 
     def test_single_stage_matches_build_sampling(self):
@@ -274,7 +294,7 @@ class TestExhaustGeneral:
         for st in stages:
             if st.complement_riesz is None:
                 continue
-            assert abs(st.complement_riesz.lower - st.report.certified_lower) <= 1e-9
+            assert abs(st.complement_riesz.lower - st.report.bounds.lower) <= 1e-9
 
     @pytest.mark.parametrize("mode", ["sampling", "bessel"])
     def test_decompositions_stay_within_the_cell_count(self, monkeypatch, mode):
@@ -301,14 +321,14 @@ class TestExhaustGeneral:
         assert [kind for kind, _ in events] == ["stage", "eig", "eig"] * len(stages)
         for i, st in enumerate(stages):
             n = events[3 * i][1]
-            assert n == st.spectrum.n
+            assert n == st.report.spectrum.n
             assert events[3 * i + 1][1] <= n and events[3 * i + 2][1] <= n
 
     def test_bessel_mode(self):
         s = ef.IntervalSet(((0.0, math.pi),))
         stages = ef.exhaust_general(s, 1.0, (8, 16), mode="bessel")
         for st in stages:
-            assert len(st.report.sampling_set.residues) == st.spectrum.n + 1
+            assert len(st.report.sampling_set.residues) == st.report.spectrum.n + 1
             assert st.report.sampling_set.kind == "bessel"
 
     def test_schedule_validation(self):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
-from expframes import linalg
 from expframes.errors import NotHermitian, ShiftInsideSpectrum
 
 
@@ -93,93 +92,15 @@ class TestHermitianEig:
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
-    @pytest.mark.parametrize("h", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3)])
-    def test_rejects_empty_or_non_square(self, h):
-        with pytest.raises(ValueError, match="non-empty square matrix"):
-            ef.hermitian_eig(h)
-
-
-def _loop_phases(vecs):
-    """Column-by-column phase fix: the reference for the vectorized one."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        pivot = int(np.argmax(mags > 1e-8 * mags.max())) if mags.max() > 0 else 0
-        z = col[pivot]
-        if abs(z) > 0:
-            out[:, k] = col * (z.conjugate() / abs(z))
-    return out
-
-
-def _random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _assert_pivots_real_nonneg(vecs):
-    for k in range(vecs.shape[1]):
-        mags = np.abs(vecs[:, k])
-        z = vecs[int(np.argmax(mags > 1e-8 * mags.max())), k]
-        # real up to the rounding of z * conj(z) / |z|
-        assert abs(z.imag) <= 4e-16 * abs(z) and z.real >= 0.0, (k, z)
-
-
-class TestPhaseConvention:
-    """The pivot of every eigenvector column is real and non-negative."""
-
-    def test_random_spectra(self):
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 5, 17):
-            u = _random_unitary(rng, n)
-            h = (u * rng.standard_normal(n)) @ u.conj().T
-            _assert_pivots_real_nonneg(ef.hermitian_eig(0.5 * (h + h.conj().T)).eigenvectors)
-
-    def test_degenerate_spectra(self):
-        rng = np.random.default_rng(8)
-        u = _random_unitary(rng, 6)
-        h = (u * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 5.0])) @ u.conj().T
-        spec = ef.hermitian_eig(0.5 * (h + h.conj().T))
-        _assert_pivots_real_nonneg(spec.eigenvectors)
-        _assert_pivots_real_nonneg(ef.hermitian_eig(2.0 * np.eye(4)).eigenvectors)
-
-    def test_leading_entries_below_threshold(self):
-        # The first coordinate couples to the rest only at 1e-13, so the
-        # other eigenvectors' leading entries sit below the 1e-8 threshold
-        # and the pivot is a later entry.
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = np.zeros((5, 5), dtype=complex)
-        h[0, 0] = 10.0
-        h[1:, 1:] = 0.5 * (b + b.conj().T)
-        h[0, 1:] = 1e-13j
-        h[1:, 0] = -1e-13j
-        vecs = ef.hermitian_eig(h).eigenvectors
-        _assert_pivots_real_nonneg(vecs)
-        small = [k for k in range(5) if 0 < abs(vecs[0, k]) <= 1e-8]
-        assert small, "expected columns whose leading entry is below the threshold"
-
     def test_n_equals_one(self):
         spec = ef.hermitian_eig(np.array([[-3.0]]))
         assert spec.eigenvalues.tolist() == [-3.0]
         assert spec.eigenvectors.tolist() == [[1.0 + 0.0j]]
 
-    def test_signed_zeros(self):
-        nz = complex(-0.0, -0.0)
-        vecs = np.array([[nz, nz, 1e-20], [-2.0j, nz, -1.0], [1.0, nz, 0.0]])
-        out = linalg._canonical_phases(vecs)
-        _assert_pivots_real_nonneg(out[:, [0, 2]])
-        # a column whose pivot is 0 keeps its bytes, signed zeros included
-        assert out[:, 1].tobytes() == vecs[:, 1].tobytes()
-        assert out.tobytes() == _loop_phases(vecs).tobytes()
-        _assert_pivots_real_nonneg(ef.hermitian_eig(np.diag([-0.0, 1.0, -0.0])).eigenvectors)
-
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(10)
-        for n in (1, 2, 3, 8, 33):
-            for _ in range(20):
-                u = _random_unitary(rng, n)
-                assert np.abs(linalg._canonical_phases(u) - _loop_phases(u)).max() <= 4e-16
+    @pytest.mark.parametrize("h", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3)])
+    def test_rejects_empty_or_non_square(self, h):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            ef.hermitian_eig(h)
 
 
 @settings(max_examples=40, derandomize=True)
