@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from . import verify
 from .errors import CertificateFailed, KTooLarge, SpectrumFormatError
 from .selection import (
-    SelectionResult,
     VectorSystem,
     bss_unweighted,
     lower_certificate_constant,
@@ -80,6 +79,8 @@ class ConstructionReport:
     achieved empirical ratio upper/|S| for bessel kind (no target exists
     there).  A builder raises CertificateFailed rather than report a set
     that misses its target (bessel sets have none), so "pass" is always true.
+    The engine's SelectionResult is not kept: sampling_set holds its
+    residues, and no caller reads its weights or barrier log.
     """
 
     spectrum: GridSpectrum
@@ -87,7 +88,6 @@ class ConstructionReport:
     param: float
     bounds: verify.BoundReport
     constant_check: float
-    selection: Optional[SelectionResult] = None
 
     def to_dict(self) -> dict:
         return {
@@ -158,7 +158,6 @@ def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:
         param=d,
         bounds=report,
         constant_check=target,
-        selection=result,
     )
 
 
@@ -185,7 +184,6 @@ def build_bessel(g: GridSpectrum, k: Optional[int] = None) -> ConstructionReport
         param=float(k),
         bounds=report,
         constant_check=ratio,
-        selection=result,
     )
 
 
@@ -216,7 +214,6 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
         param=d,
         bounds=report,
         constant_check=target,
-        selection=result,
     )
 
 

@@ -117,16 +117,19 @@ def riesz_floor_constant(d: float) -> float:
 class VectorSystem:
     """Finite family of m vectors in complex n-space, stored as rows.
 
-    With parseval=True the rows must resolve the identity (sum of v v* = I);
-    with equal_norm=True every squared norm must equal n/m.  Both are checked
-    at construction time.  Only construct.fourier_system builds a system
-    that skips them (they hold by construction) and evaluates quad_forms
-    with an FFT; every other system takes the dense route.
+    parseval and equal_norm are measured from the rows at construction:
+    parseval when they resolve the identity (sum of v v* = I, Frobenius
+    residual within PARSEVAL_RTOL * sqrt(n)), equal_norm when every squared
+    norm is n/m (within EQUAL_NORM_RTOL * max(1, n/m)).  The engines that
+    need either property refuse a system without it.  Only
+    construct.fourier_system builds a system that skips the measurement
+    (both hold by construction) and evaluates quad_forms with an FFT; every
+    other system takes the dense route.
     """
 
     vectors: np.ndarray
-    parseval: bool = False
-    equal_norm: bool = False
+    parseval: bool = field(init=False)
+    equal_norm: bool = field(init=False)
     # Systems built by _fourier: with d = (r_b - r_a) mod m for every entry (a, b)
     # of an n x n matrix, the bins 2d and 2d + 1 of its real and imaginary parts.
     _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
@@ -140,17 +143,10 @@ class VectorSystem:
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
         m, n = arr.shape
-        if self.parseval:
-            s = arr.T @ arr.conj()
-            err = float(np.linalg.norm(s - np.eye(n)))
-            if err > PARSEVAL_RTOL * math.sqrt(n):
-                raise NotParseval(f"identity residual {err:.3e} exceeds tolerance")
-        if self.equal_norm:
-            norms2 = np.sum(np.abs(arr) ** 2, axis=1)
-            target = n / m
-            err = float(np.abs(norms2 - target).max())
-            if err > EQUAL_NORM_RTOL * max(1.0, target):
-                raise ValueError(f"row norm deviation {err:.3e} exceeds tolerance")
+        residual = float(np.linalg.norm(arr.T @ arr.conj() - np.eye(n)))
+        deviation = float(np.abs(np.sum(np.abs(arr) ** 2, axis=1) - n / m).max())
+        object.__setattr__(self, "parseval", residual <= PARSEVAL_RTOL * math.sqrt(n))
+        object.__setattr__(self, "equal_norm", deviation <= EQUAL_NORM_RTOL * max(1.0, n / m))
 
     @classmethod
     def _fourier(cls, m: int, cells: Sequence[int]) -> VectorSystem:
@@ -158,7 +154,7 @@ class VectorSystem:
 
         cells must be distinct residues in [0, m), as a GridSpectrum's are:
         the m x n matrix is then n columns of the unitary DFT, Parseval and
-        equal-norm by construction, so none of __post_init__'s checks is run.
+        equal-norm by construction, so __post_init__ measures neither.
         """
         rows = dft_submatrix(m, range(m), cells) / math.sqrt(m)
         rows.setflags(write=False)
@@ -166,7 +162,9 @@ class VectorSystem:
         diffs = 2 * ((r[None, :] - r[:, None]) % m).ravel()
         diffs = np.stack((diffs, diffs + 1), axis=1).ravel()
         system = object.__new__(cls)  # frozen: fill the fields without __init__
-        vars(system).update(vectors=rows, parseval=True, equal_norm=True, _cell_diffs=diffs)
+        vars(system).update(
+            {"vectors": rows, "parseval": True, "equal_norm": True, "_cell_diffs": diffs}
+        )
         return system
 
     @property
@@ -216,7 +214,6 @@ class VectorSystem:
 class BarrierStep:
     """One greedy step: barrier positions, potentials and the chosen index."""
 
-    step: int
     u: Optional[float]
     l: Optional[float]
     phi_u: Optional[float]
@@ -226,49 +223,26 @@ class BarrierStep:
     lam_min: float
     lam_max: float
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "u": self.u,
-            "l": self.l,
-            "phi_u": self.phi_u,
-            "phi_l": self.phi_l,
-            "index": self.index,
-            "weight": self.weight,
-            "lam_min": self.lam_min,
-            "lam_max": self.lam_max,
-        }
-
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen index set, weights and the engine's parameter.
+    """Chosen index set, its weights and the loop's per-step trajectory.
 
     weights is empty for the unweighted engines, otherwise parallel to
     indices.  No bound is carried: the builders certify a selection once,
-    through expframes.verify, and barrier_log holds only the loop's own
-    per-step trajectory.  barrier_log is empty when a degenerate shortcut
-    returned the full index set.
+    through expframes.verify.  barrier_log is empty when a degenerate
+    shortcut returned the full index set.
     """
 
     indices: tuple[int, ...]
     weights: tuple[float, ...]
-    target_q: float
     barrier_log: tuple[BarrierStep, ...] = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "weights": list(self.weights),
-            "q": self.target_q,
-            "steps": [s.to_dict() for s in self.barrier_log],
-        }
 
-
-def _full_selection(sys: VectorSystem, q: float, weighted: bool) -> SelectionResult:
+def _full_selection(sys: VectorSystem, weighted: bool) -> SelectionResult:
     """Degenerate regime: return every index (unit weights when weighted)."""
     idx = tuple(range(sys.m))
-    return SelectionResult(idx, (1.0,) * sys.m if weighted else (), q)
+    return SelectionResult(idx, (1.0,) * sys.m if weighted else ())
 
 
 def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> SelectionResult:
@@ -298,10 +272,10 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         s = max_i ||v_i||^2 * max|lam| * max_k (|g_u'(lam_k)| + |g_l'(lam_k)|).
 
     Margins within TIE_RTOL * (max_i(|U(v_i)| + |L(v_i)|) + s) of the best
-    are tied, and the smallest index among them wins.  Step 0 is an exact
-    m-way tie on every equal-norm system, so row 0 is always selected.  At
-    tiny d the band can be wider than every margin; when its smallest index
-    fails the feasibility test, the smallest feasible index in it wins.
+    are tied, and the smallest feasible index among them wins: at tiny d
+    the band can be wider than every margin and hold infeasible rows below
+    feasible ones.  Step 0 is an exact m-way tie on every equal-norm
+    system, so row 0 is always selected.
 
     The loop keeps A = U diag(lam) U* (_EigState) and updates it by one
     rank-one step per pick; both scores of every candidate are the real and
@@ -334,7 +308,7 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     steps = safe_ceil(q * n)
     if n == m:
         # The identity is the unique Parseval completion; unit weights keep it.
-        return _full_selection(sys, q, weighted=not _unweighted)
+        return _full_selection(sys, weighted=not _unweighted)
 
     sq = math.sqrt(q)
     delta_l, delta_u = 1.0, (sq + 1.0) / (sq - 1.0)
@@ -373,20 +347,15 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         dg_l = -2.0 * inv_l**3 / denom_l + inv_l**2
         sens = norm2_max * max(abs(lam[0]), abs(lam[-1])) * float(np.max(dg_u + np.abs(dg_l)))
         tie_scale = float(np.max(np.abs(score_u) + np.abs(score_l))) + sens
-        chosen = _pick(margin, True, tie_scale)
-        slack = FEASIBILITY_SLACK * max(1.0, abs(score_u[chosen]), abs(score_l[chosen]))
-        if margin[chosen] < -slack:
-            # At tiny d the tie band can be wider than every margin and hold
-            # infeasible rows below feasible ones: take the smallest feasible.
-            size = np.maximum(np.abs(score_u), np.abs(score_l))
-            feasible = margin >= -FEASIBILITY_SLACK * np.maximum(1.0, size)
-            band = margin >= margin.max() - TIE_RTOL * tie_scale
-            ok = np.flatnonzero(feasible & band)
-            if ok.size == 0:
-                raise NoFeasibleCandidate(
-                    f"no index with U <= L at step {step} (best margin {margin[chosen]:.3e})"
-                )
-            chosen = int(ok[0])
+        band = margin >= margin.max() - TIE_RTOL * tie_scale
+        size = np.maximum(np.abs(score_u), np.abs(score_l))
+        feasible = margin >= -FEASIBILITY_SLACK * np.maximum(1.0, size)
+        ok = np.flatnonzero(band & feasible)
+        if ok.size == 0:
+            raise NoFeasibleCandidate(
+                f"no index with U <= L at step {step} (best margin {margin.max():.3e})"
+            )
+        chosen = int(ok[0])
         t = 2.0 / (score_u[chosen] + score_l[chosen])
         if not (t > 0.0 and math.isfinite(t)):
             raise NoFeasibleCandidate(f"non-positive weight at step {step}")
@@ -399,7 +368,6 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         phi_l = float(np.sum(1.0 / (lam - lower)))
         log.append(
             BarrierStep(
-                step=step,
                 u=upper,
                 l=lower,
                 phi_u=phi_u,
@@ -414,16 +382,16 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
             break
 
     if len(log) < steps:  # stopped at full coverage; no weights to certify
-        return SelectionResult(tuple(range(m)), (), q, tuple(log))
+        return SelectionResult(tuple(range(m)), (), tuple(log))
     bound = condition_ratio_bound(q)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     if lam_min <= 0.0 or lam_max / lam_min > bound * (1.0 + RATIO_SLACK):
         raise CertificateFailed(f"condition ratio {lam_max / lam_min:.6g} exceeds {bound:.6g}")
     indices = tuple(sorted(weights))
     if _unweighted:
-        return SelectionResult(indices, (), q, tuple(log))
+        return SelectionResult(indices, (), tuple(log))
     scale = 1.0 / lam_min
-    return SelectionResult(indices, tuple(weights[i] * scale for i in indices), q, tuple(log))
+    return SelectionResult(indices, tuple(weights[i] * scale for i in indices), tuple(log))
 
 
 def bss_unweighted(sys: VectorSystem, d: float) -> SelectionResult:
@@ -477,7 +445,7 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         raise ValueError("rit_select requires an equal-norm system")
     m, n = sys.m, sys.n
     if n == m:
-        return _full_selection(sys, d, weighted=False)
+        return _full_selection(sys, weighted=False)
 
     k = max(1, safe_ceil((1.0 - d) * n))
     vectors = sys.vectors
@@ -504,9 +472,9 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         cross[step] = vectors_c @ vectors[best]
         lam, vecs = np.linalg.eigh(cross[: step + 1, chosen])
         log.append(
-            BarrierStep(step, None, float(floors[pos]), None, None, best, 1.0, float(lam[0]), float(lam[-1]))
+            BarrierStep(None, float(floors[pos]), None, None, best, 1.0, float(lam[0]), float(lam[-1]))
         )
-    return SelectionResult(tuple(sorted(chosen)), (), d, tuple(log))
+    return SelectionResult(tuple(sorted(chosen)), (), tuple(log))
 
 
 def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -597,7 +565,7 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
         u0 *= 2.0
     else:  # pragma: no cover - doubling always terminates at desk scale
         raise CertificateFailed("upper barrier restart budget exhausted")
-    return SelectionResult(tuple(sorted(step.index for step in log)), (), float(k), log)
+    return SelectionResult(tuple(sorted(step.index for step in log)), (), log)
 
 
 def _upper_scores(state: _EigState, u_next: float):
@@ -629,7 +597,7 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
     state = _EigState(sys)  # A = 0
     free = np.ones(sys.m, dtype=bool)
     log: list[BarrierStep] = []
-    for step in range(k):
+    for _ in range(k):
         u_next = u + delta
         feasible, phi = _upper_scores(state, u_next)
         cand = np.flatnonzero(feasible & free)
@@ -642,7 +610,7 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
         state.add(sys.vectors[best], 1.0)
         lam = state.lam
         log.append(
-            BarrierStep(step, u, None, float(phi[best]), None, best, 1.0, float(lam[0]), float(lam[-1]))
+            BarrierStep(u, None, float(phi[best]), None, best, 1.0, float(lam[0]), float(lam[-1]))
         )
     return tuple(log)
 

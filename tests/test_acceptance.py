@@ -61,7 +61,7 @@ def run_sampling_ensemble() -> dict:
         ok_cap = j_size <= cap and rep.bounds.lower >= target
         passed_caps = passed_caps and ok_cap
 
-        log = rep.selection.barrier_log
+        log = ef.bss_unweighted(fourier_system(g), d).barrier_log
         if 0 < len(log) < safe_ceil((1.0 + d) * n):
             # the unweighted run stopped once every residue was picked; the
             # ratio is read from the complete weighted run on the same system

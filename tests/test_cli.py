@@ -70,6 +70,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _build_threads(monkeypatch):
+    """The thread of every in-process build_sampling call, in call order."""
+    threads = []
+    build = cli.cons.build_sampling
+
+    def spy(grid, d):
+        threads.append(threading.get_ident())
+        return build(grid, d)
+
+    monkeypatch.setattr(cli.cons, "build_sampling", spy)
+    return threads
+
+
 class TestConstruct:
     def test_canonical_json(self, capsys):
         code, out, _ = run_cli(
@@ -254,6 +267,12 @@ class TestExhaust:
         stages = json.loads(out)
         assert [st["stage_m"] for st in stages] == [4, 8]
 
+    def test_d_not_with_bessel(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exhaust", "--spectrum", '{"m":8,"cells":[0,1]}', "--schedule", "8",
+            "--mode", "bessel", "--d", "0.5",
+        )
+        assert code == 2 and out == "" and "input error" in err
 
     def test_m_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -411,6 +430,18 @@ class TestSweep:
         rows = json.loads(out)
         assert all(row["pass"] for row in rows)
 
+    def test_target_is_the_builders_constant(self, capsys):
+        # C(2) * (1 / 3), the old sweep target, and build_sampling's C(2) * 1 / 3
+        # differ in the last ulp
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m-list", "3", "--s-list", "1/3", "--d-list", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        report = expframes.build_sampling(expframes.GridSpectrum(3, (0,)), 2.0)
+        assert row["C_target"] == report.constant_check
+
     def test_m64_grid_rows_meet_targets(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--m-list", "64", "--s-list", "1/16,1/8",
@@ -446,11 +477,14 @@ class TestWorkerProcesses:
     def test_no_fork_platform_builds_in_process(self, capsys, forks, monkeypatch):
         _, seq, _ = run_cli(capsys, *TestSweep.ARGS)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        threads = _build_threads(monkeypatch)
         code, out, _ = run_cli(capsys, *TestSweep.ARGS, "--jobs", "2")
         assert code == 0 and out == seq and forks == []
+        assert threads == [threading.get_ident()] * 4
 
-    def test_running_threads_prevent_fork(self, capsys, forks):
+    def test_running_threads_prevent_fork(self, capsys, forks, monkeypatch):
         _, seq, _ = run_cli(capsys, *TestSweep.ARGS)
+        threads = _build_threads(monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
@@ -461,6 +495,7 @@ class TestWorkerProcesses:
             other.join(timeout=30)
         assert not other.is_alive()
         assert code == 0 and out == seq and forks == []
+        assert threads == [threading.get_ident()] * 4
 
     def test_certificate_failure_in_worker_exits_1(self, capsys, forks, monkeypatch):
         original = verify.sampling_bounds
@@ -515,7 +550,7 @@ class TestWorkerProcesses:
         _openblas("set", 2)  # a caller's own setting, restored after the sweep
         try:
             for jobs in ("1", "2"):
-                # --jobs 2 builds in-process here: the spy is not picklable
+                # --jobs 2 builds serially here: the spy is not picklable
                 # into the workers, so hold a thread to keep the pool off
                 release = threading.Event()
                 other = threading.Thread(target=release.wait, args=(30,))

@@ -1,6 +1,5 @@
 import ctypes
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -54,13 +53,23 @@ class TestConstants:
 
 class TestVectorSystem:
     def test_parseval_validation(self):
+        # equal-norm rows whose outer sum is the all-ones matrix, not I
+        sys = ef.VectorSystem(np.full((4, 2), 0.5))
+        assert sys.equal_norm and not sys.parseval
         with pytest.raises(NotParseval):
-            ef.VectorSystem(np.array([[1.0, 0.0], [0.0, 0.5]]), parseval=True)
+            ef.bss_select(sys, 2.0)
+        with pytest.raises(NotParseval):
+            ef.rit_select(sys, 0.5)
 
     def test_equal_norm_validation(self):
-        vecs = np.array([[1.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError):
-            ef.VectorSystem(vecs, equal_norm=True)
+        # Parseval rows of squared norms 1, 1/2, 1/2 against n/m = 2/3
+        vecs = np.array([[1.0, 0.0], [0.0, math.sqrt(0.5)], [0.0, math.sqrt(0.5)]])
+        sys = ef.VectorSystem(vecs)
+        assert sys.parseval and not sys.equal_norm
+        with pytest.raises(ValueError, match="equal-norm"):
+            ef.bss_unweighted(sys, 1.0)
+        with pytest.raises(ValueError, match="equal-norm"):
+            ef.rit_select(sys, 0.5)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (8, 3), (32, 31), (1024, 176), (4096, 8)])
     def test_fourier_rows_qualify(self, m, n):
@@ -70,7 +79,8 @@ class TestVectorSystem:
         sys = fourier_system(ef.GridSpectrum(m, cells))
         assert sys.parseval and sys.equal_norm and sys.m == m and sys.n == n
         assert not sys.vectors.flags.writeable
-        checked = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        checked = ef.VectorSystem(sys.vectors)
+        assert checked.parseval and checked.equal_norm
         expected = ef.dft_submatrix(m, range(m), cells) / math.sqrt(m)
         assert sys.vectors.dtype == expected.dtype and sys.vectors.shape == expected.shape
         assert sys.vectors.tobytes() == expected.tobytes() == checked.vectors.tobytes()
@@ -125,7 +135,7 @@ class TestBssSelect:
         assert spec.lam_max <= ef.condition_ratio_bound(1.8) * (1.0 + 1e-9)
 
     def test_identity_system_full_selection(self):
-        sys = ef.VectorSystem(np.eye(4), parseval=True, equal_norm=True)
+        sys = ef.VectorSystem(np.eye(4))
         res = ef.bss_select(sys, 1.5)
         assert res.indices == (0, 1, 2, 3)
         assert max(res.weights) / min(res.weights) == 1.0
@@ -141,8 +151,7 @@ class TestBssSelect:
 
     def test_determinism_byte_identical(self):
         sys = fourier_system(ef.GridSpectrum(16, (1, 4, 9, 12)))
-        a = json.dumps(ef.bss_select(sys, 1.7).to_dict())
-        b = json.dumps(ef.bss_select(sys, 1.7).to_dict())
+        a, b = ef.bss_select(sys, 1.7), ef.bss_select(sys, 1.7)
         assert a == b
 
     def test_trajectory_replayed_through_resolvent_quadratics(self):
@@ -240,7 +249,7 @@ class TestBssUnweighted:
             d = math.exp(rng.uniform(math.log(0.01), math.log(9.0)))
             sys = fourier_system(ef.GridSpectrum(m, cells))
             if route == "dense":
-                sys = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+                sys = ef.VectorSystem(sys.vectors)
             res = ef.bss_unweighted(sys, d)
             assert res.indices == ef.bss_select(sys, 1.0 + d).indices
             if len(res.barrier_log) < selection.safe_ceil((1.0 + d) * n):
@@ -251,7 +260,7 @@ class TestBssUnweighted:
 
 class TestRitSelect:
     def test_identity_system(self):
-        sys = ef.VectorSystem(np.eye(6), parseval=True, equal_norm=True)
+        sys = ef.VectorSystem(np.eye(6))
         res = ef.rit_select(sys, 0.5)
         assert len(res.indices) >= 3
         assert math.isclose(fresh_gram_spectrum(sys, res).lam_min, 1.0, rel_tol=1e-12)
@@ -292,7 +301,7 @@ class TestRitSelect:
 
     def test_rejects_non_parseval(self):
         # equal-norm rows whose outer sum is 2x the all-ones matrix, not I
-        sys = ef.VectorSystem(np.full((4, 2), 0.5), equal_norm=True)
+        sys = ef.VectorSystem(np.full((4, 2), 0.5))
         with pytest.raises(NotParseval):
             ef.rit_select(sys, 0.5)
 
@@ -531,9 +540,7 @@ class TestClosedFormScoring:
     def test_orthogonal_rows_zero_weights(self):
         # two copies of a scaled basis: a free row orthogonal to every chosen
         # row has all secular weights exactly 0, and its floor is min(lam_1, rho2)
-        sys = ef.VectorSystem(
-            np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0), parseval=True, equal_norm=True
-        )
+        sys = ef.VectorSystem(np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0))
         with np.errstate(all="raise"):
             floors = selection._riesz_floors(np.ones(3), np.zeros((3, 3)), np.ones(3))
             res = ef.rit_select(sys, 0.5)
@@ -567,10 +574,10 @@ class TestFourierRoute:
         grid = fourier_system(ef.GridSpectrum(m, cells))
         generic = ef.VectorSystem(grid.vectors)
         # only fourier_system's systems take the FFT route; rows passed in,
-        # even these same rows with both flags, take the dense one
+        # even these same rows, measured Parseval and equal-norm, take the dense one
         assert grid._cell_diffs is not None
         assert generic._cell_diffs is None
-        assert ef.VectorSystem(grid.vectors, parseval=True, equal_norm=True)._cell_diffs is None
+        assert generic.parseval and generic.equal_norm
         with pytest.raises(TypeError):  # no grid claim on rows passed in
             ef.VectorSystem(grid.vectors, grid=(m, cells))
         x = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
@@ -615,7 +622,7 @@ class TestDeterministicTies:
         # A = 0 and equal norms make step 0 an exact m-way tie; the dense
         # route's rounding spreads those scores, so it must apply the rule too
         sys = seeded_fourier(i, (8, 16, 32, 64)[i % 4])
-        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        dense = ef.VectorSystem(sys.vectors)
         for system in (sys, dense):
             weighted = ef.bss_select(system, (1.5, 2.0, 3.0)[i % 3])
             unweighted = ef.bss_unweighted(system, (0.5, 1.0, 2.0)[i % 3])
@@ -626,7 +633,7 @@ class TestDeterministicTies:
     def test_routes_pick_the_same_sets(self, i):
         # the grid and dense routes round differently; the tie rule absorbs it
         sys = seeded_fourier(i, (8, 16, 32, 64)[i % 4])
-        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        dense = ef.VectorSystem(sys.vectors)
         q, k = (1.5, 2.0, 3.0)[i % 3], min(sys.n + 1, sys.m)
         assert ef.bss_select(sys, q).indices == ef.bss_select(dense, q).indices
         assert ef.upper_select(sys, k).indices == ef.upper_select(dense, k).indices
@@ -638,7 +645,7 @@ class TestDeterministicTies:
         # of the weight t spreads the computed margins by ~1e-12 of the
         # scores, so the tie scale must cover that error too
         sys = fourier_system(ef.GridSpectrum(8, (0, 1, 5)))
-        dense = ef.VectorSystem(sys.vectors, parseval=True, equal_norm=True)
+        dense = ef.VectorSystem(sys.vectors)
         for system in (sys, dense):
             log = ef.bss_select(system, q).barrier_log
             assert [step.index for step in log[:3]] == [0, 1, 4]
