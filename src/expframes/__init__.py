@@ -32,7 +32,7 @@ from .errors import (
     SpectrumFormatError,
     TooManySubsets,
 )
-from .linalg import HermitianSpectrum, dft_submatrix, gram, hermitian_eig, resolvent_quadratics
+from .linalg import HermitianSpectrum, dft_submatrix, gram, hermitian_eig
 from .selection import (
     SelectionResult,
     VectorSystem,

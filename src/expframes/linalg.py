@@ -4,12 +4,11 @@ Everything is numpy-backed.  Certified bounds are always computed from a
 fresh Hermitian eigendecomposition (hermitian_eig) rather than maintained by
 rank-one updates, which removes a whole class of drift bugs from the
 certified numbers; expframes.verify is the one place that computes them.
-Rank-one updates are used only for scoring: the two-sided and upper greedy
-loops carry their decomposition from step to step by one real
+Rank-one updates are used only for scoring: each greedy loop carries the
+decomposition of its running sum from step to step by one real
 diagonal-plus-rank-one solve per term (LAPACK's dlaed2/dlaed3 from numpy's
-bundled OpenBLAS, found through _openblas_function, or a dense eigh), the
-Riesz loop takes one bare np.linalg.eigh per step, and each loop ranks its
-candidates in closed form from that decomposition.  The
+bundled OpenBLAS, found through _openblas_function, or a dense eigh), and
+ranks its candidates in closed form from that decomposition.  The
 engines make no hermitian_eig call: the Riesz selection is sized from the
 Parseval property, not from a decomposition.  Every reader of an
 eigendecomposition here depends on eigenvalues or spectral projections
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotHermitian, ShiftInsideSpectrum
+from .errors import NotHermitian
 
 HERMITIAN_RTOL = 1e-12
 EIG_RESIDUAL_RTOL = 1e-10
@@ -141,30 +140,3 @@ def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
     return spec
 
-
-def resolvent_quadratics(a: np.ndarray, shift: float, v: np.ndarray) -> tuple[float, float]:
-    """Quadratic forms of the first and second resolvent powers at a real shift.
-
-    For shift u above the spectrum returns (v*(uI-a)^-1 v, v*(uI-a)^-2 v);
-    for shift l below it returns the mirrored forms with (a-lI).  Computed
-    from the eigendecomposition of a; no incremental updates.
-    """
-    spec = hermitian_eig(a)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != spec.eigenvalues.size:
-        raise ValueError("vector length does not match matrix order")
-    anorm = max(1.0, float(np.abs(spec.eigenvalues).max()))
-    weights = np.abs(spec.eigenvectors.conj().T @ v) ** 2
-    if shift > spec.lam_max:
-        gaps = shift - spec.eigenvalues
-    elif shift < spec.lam_min:
-        gaps = spec.eigenvalues - shift
-    else:
-        raise ShiftInsideSpectrum(
-            f"shift {shift} inside [{spec.lam_min}, {spec.lam_max}]"
-        )
-    if float(gaps.min()) < 1e-12 * anorm:
-        raise ShiftInsideSpectrum(f"shift {shift} within 1e-12 margin of the spectrum")
-    q1 = float(np.sum(weights / gaps))
-    q2 = float(np.sum(weights / gaps**2))
-    return q1, q2

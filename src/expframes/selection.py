@@ -19,23 +19,26 @@ Four selectors over a finite system {v_i} in complex n-space:
 The greedy loops keep one eigendecomposition per step and score every
 candidate in closed form from it (barrier shifts for the two-sided engine,
 Sherman-Morrison for the upper potential, a secular equation for the
-bordered Gram floor).  Each step picks, then updates or decomposes, then
-logs.  The two-sided and upper engines add one rank-one term per step to
-one eigen-state of the running sum A (_EigState) instead of decomposing
-A: the update is a real diagonal-plus-rank-one eigenproblem, solved by
-LAPACK's rank-one merge (dlaed2/dlaed3, secular equation and Gu-Eisenstat
-eigenvectors) from order LAED_MIN_N on where numpy's bundled OpenBLAS
-exports it, else by one dense real eigh.  From n = RANK_MIN_N on, while A
-has rank r < n, the state holds only an n x r basis of its range: the
-rank-one solve then has order r + 1, and it, the rotation and the packed
-product of rank r cost O(n r^2) instead of O(n^3).  The Riesz
-engine decomposes its growing Gram with a bare np.linalg.eigh.  The scores
-depend only on the spectral projections, not on eigenvector phases, and
-only steer the greedy.  The two-sided and upper engines read their scores
-as quadratic forms of one n x n matrix (VectorSystem.quad_forms), which
-only a system built by construct.fourier_system evaluates with one FFT.
-The engines only select: they certify nothing, and the bounds of a built
-set are computed once, by expframes.verify.
+bordered Gram floor).  Each step picks, then updates, then logs.  All
+three engines add one rank-one term per step to one eigen-state of the
+running sum A (_EigState) instead of decomposing A: the update is a real
+diagonal-plus-rank-one eigenproblem, solved by LAPACK's rank-one merge
+(dlaed2/dlaed3, secular equation and Gu-Eisenstat eigenvectors) from order
+LAED_MIN_N on where numpy's bundled OpenBLAS exports it, else by one dense
+real eigh; a range state's first term, into A = 0, is closed form.  While
+A has rank r < n, the state of the two-sided and upper engines from
+n = RANK_MIN_N on, and the Riesz engine's at every n, holds only an n x r
+basis of its range: the rank-one solve then has order r + 1, and it, the
+rotation and the packed product of rank r cost O(n r^2) instead of
+O(n^3).  The Riesz engine reads its Gram's eigenvalues from that range,
+solves the floors of only the rows of largest bound and of those one
+quadratic-form pass cannot rule out, and picks as over all rows.  The
+scores depend only on the spectral projections, not on eigenvector
+phases, and only steer the greedy.  The engines read their scores as
+quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
+a system built by construct.fourier_system evaluates with one FFT.  The
+engines only select: they certify nothing, and the bounds of a built set
+are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
 """
 
@@ -63,6 +66,7 @@ from .linalg import _openblas_function, dft_submatrix
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
 
+EPS = float(np.finfo(float).eps)
 PARSEVAL_RTOL = 1e-10
 EQUAL_NORM_RTOL = 1e-10
 # Forgiveness for floating-point noise in the U <= L feasibility comparison;
@@ -89,6 +93,17 @@ LAED_MIN_N = 16
 # were 10-30% slower at n = 16..48, even at n = 56..64, 1-5% faster at
 # n = 72 and 5-15% faster at n = 80..96.
 RANK_MIN_N = 72
+# The Riesz greedy solves this many rows first, those of largest floor bound,
+# and screens the rest against the best of them (_rit_floors) once more than
+# twice as many rows are free and the free rows times the rank reach
+# RIT_WORK, the size of the secular solver's arrays.  Below either the screen
+# costs more than it saves: screening from 33 free rows on instead of 65 took
+# 1.16x the time at (m, n, d) = (64, 16, 0.5), and screening whatever the
+# array size 1.07x at (256, 32, 0.5) and (128, 32, 0.25), where the solver's
+# ~20 numpy calls per iteration cost about the same for all free rows as
+# for 32.
+RIT_BATCH = 32
+RIT_WORK = 2048
 
 
 def safe_ceil(x: float) -> int:
@@ -429,13 +444,19 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     best count as tied, and the smallest index among them wins; step 0 is
     such a tie for every equal-norm system, so row 0 is always selected.
 
-    Per step every free candidate's floor is the lowest root of its secular
-    equation (_riesz_floors) in the eigenbasis G = Q diag(lam) Q* of the
-    k_s x k_s Gram of the selection, which is decomposed once after each
-    pick; a step costs one small eigendecomposition plus
-    O((k_s^2 + n) * m) work for all m candidates.  The m x m Gram is never
-    formed.  The floor (1-sqrt(1-d))^2 * n/m of the final Gram is checked by
-    build_riesz, on the bounds verify computes.
+    The loop keeps A = sum_{j in J} v_j v_j* in an eigen-state holding only
+    its range (_EigState), updated by one rank-one solve per pick; the
+    first pick, from A = 0, is decomposed in closed form.  The Gram of the
+    selection shares A's nonzero eigenvalues lam, so a free row's floor is
+    the lowest root of its secular equation (_riesz_floors) with weights
+    lam |U* v_i|^2, started at the least upper bound of that floor known
+    from earlier steps.  Once the free rows are more than twice RIT_BATCH
+    and, times the rank, reach RIT_WORK, _rit_floors solves only the
+    RIT_BATCH rows of largest bound and the few that one quadratic-form pass
+    cannot rule out of the tie band; the pick is the same as over all
+    floors.  The m x m Gram is never formed.  The floor
+    (1-sqrt(1-d))^2 * n/m of the final Gram is checked by build_riesz, on
+    the bounds verify computes.
     """
     if not sys.parseval:
         raise NotParseval("rit_select requires a Parseval system")
@@ -448,36 +469,118 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         return _full_selection(sys, weighted=False)
 
     k = max(1, safe_ceil((1.0 - d) * n))
-    vectors = sys.vectors
-    vectors_c = vectors.conj()
-    norm2 = np.einsum("ij,ij->i", vectors, vectors_c).real
-    # cross[s, i] = <v_{chosen[s]}, v_i>: the selected rows of the Gram.
-    cross = np.empty((k, m), dtype=np.complex128)
-    free = np.ones(m, dtype=bool)
+    vectors_c = sys.vectors.conj()
+    norm2 = np.einsum("ij,ij->i", sys.vectors, vectors_c).real
+    # Bounds on every row's floor, -inf once picked: a floor never rises as
+    # rows are added (Cauchy interlacing), so any earlier bound still holds.
+    stale = norm2.copy()
+    state = _EigState(sys, _range_only=True)
     chosen: list[int] = []
     log: list[BarrierStep] = []
     for step in range(k):
-        cand = np.flatnonzero(free)
-        if step == 0:
-            floors = norm2[cand]
-        else:
-            w2 = np.abs(vecs.conj().T @ cross[:step, cand]) ** 2
-            floors = _riesz_floors(lam, w2, norm2[cand])
-        pos = _pick(floors, maximize=True)
-        if pos < 0:
-            raise CertificateFailed("ran out of candidates")
-        best = int(cand[pos])
-        free[best] = False
+        floors = norm2 if step == 0 else _rit_floors(state, step, stale, norm2, vectors_c)
+        best = _pick(floors, maximize=True)
+        floor = float(floors[best])
+        stale[best] = -np.inf
         chosen.append(best)
-        cross[step] = vectors_c @ vectors[best]
-        lam, vecs = np.linalg.eigh(cross[: step + 1, chosen])
-        log.append(
-            BarrierStep(None, float(floors[pos]), None, None, best, 1.0, float(lam[0]), float(lam[-1]))
-        )
+        state.add(sys.vectors[best], 1.0)
+        lam, r = state.lam, state.vecs.shape[1]
+        lam_min = float(lam[n - r]) if r == step + 1 else 0.0
+        log.append(BarrierStep(None, floor, None, None, best, 1.0, lam_min, float(lam[-1])))
     return SelectionResult(tuple(sorted(chosen)), (), tuple(log))
 
 
-def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+def _rit_floors(
+    state: _EigState, step: int, stale: np.ndarray, norm2: np.ndarray, vectors_c: np.ndarray
+) -> np.ndarray:
+    """Floors of all m rows after step picks; -inf for picked and screened-out rows.
+
+    state holds A = sum_{j in J} v_j v_j* on its range, of rank r.  The Gram
+    of J shares A's r nonzero eigenvalues lam, and row i's secular weights
+    on them are w2 = lam |U* v_i|^2; step - r dependent picks add zero
+    eigenvalues with zero weight, which pin every floor at 0.  stale holds
+    an upper bound of every free row's floor (-inf for picked rows); each
+    solve starts from it, and the bounds are tightened in place.
+
+    With no such zeros, more than 2 RIT_BATCH free rows and at least
+    RIT_WORK free rows times r, the rows are screened.  The RIT_BATCH rows
+    of largest bound are solved first; let thr = best - TIE_RTOL |best|,
+    the least floor of the tie band or below it.  When every other row's
+    bound is under thr, no other row is solved.  Otherwise, with thr
+    between 0 and lam_1, one quadratic-form pass gives
+    f_i(thr) = rho2_i - thr - v_i* N v_i, N = U diag(lam/(lam - thr)) U*, for
+    every row.  A floor reaches thr exactly when f_i(thr) >= 0, f being
+    decreasing below lam_1, so only rows with f_i(thr) >= -err are solved.
+    err bounds the pass's rounding: N's entries reach max lam/(lam - thr),
+    and v_i* N v_i sums n^2 of them, each rounded over r terms and then
+    through an FFT of length m (or the dense sum).  Either way every row
+    left out lies below thr, outside the tie band of the best floor, so the
+    pick is the one of all floors.  The same pass gives f_i'(thr); f is concave, so its
+    tangent at thr meets zero at or above the floor, which bounds the rows
+    left out.  Where every free row is solved, the floors are written into
+    stale and stale itself is returned.
+    """
+    sys = state.sys
+    basis = state.vecs.T
+    r, n = basis.shape
+    m = sys.m
+    lam = state.lam[n - r :]
+    null = step - r
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        z = basis @ vectors_c[rows].T  # conj(U* v_i)
+        w2 = z.real**2
+        w2 += z.imag**2
+        w2 *= lam[:, None]
+        if null:
+            w2 = np.concatenate((np.zeros((null, rows.size)), w2))
+        floors = _riesz_floors(
+            np.concatenate((np.zeros(null), lam)) if null else lam, w2, norm2[rows], stale[rows]
+        )
+        stale[rows] = floors
+        return floors
+
+    if null or m - step <= 2 * RIT_BATCH or (m - step) * r < RIT_WORK:
+        solve(np.flatnonzero(stale > -np.inf))
+        return stale
+    batch = np.argpartition(stale, m - RIT_BATCH)[m - RIT_BATCH :]
+    # every row outside the batch is bounded by the batch's least bound
+    bound = float(stale[batch].min())
+    best = solve(batch)
+    floors = np.full(m, -np.inf)
+    floors[batch] = best
+    top = float(best.max())
+    thr = top - TIE_RTOL * abs(top)
+    if bound < thr:
+        return floors
+    if not 0.0 < thr < lam[0]:
+        solve(np.flatnonzero(stale > -np.inf))
+        return stale
+    # gain = lam/(lam - thr) and gain/(lam - thr) decrease with lam, so the
+    # first of each is the largest.  f_i'(thr) = -1 - v_i* U diag(gain/(lam -
+    # thr)) U* v_i comes from the same pass, its coefficients scaled by
+    # lam_1 - thr to gain's size so they cannot swamp f's rounding.
+    inv = 1.0 / (lam - thr)
+    gain = lam * inv
+    forms = sys.quad_forms((basis.T * (gain + 1j * (gain * inv / inv[0]))) @ basis.conj())
+    err = EPS * n * (r + math.log2(m) + 2) * float(gain[0]) * float(norm2.max())
+    f = norm2 - thr - forms.real + err  # at least the exact f_i(thr)
+    rest = f >= 0.0
+    rest[batch] = False
+    # rows screened out (f < 0 here) take the root of f's tangent at thr,
+    # with rounding on the safe side: f is concave, so it bounds the floor
+    np.minimum(stale, thr + f / (1.0 + inv[0] * (forms.imag + err)), out=stale)
+    stale[batch] = floors[batch]
+    rest &= stale > -np.inf
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        floors[rest] = solve(rest)
+    return floors
+
+
+def _riesz_floors(
+    lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray, start: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Smallest eigenvalue of each bordered matrix [[diag(lam), w], [w*, rho2]].
 
     lam holds the ascending eigenvalues of the selected Gram (k,), w2 the
@@ -493,7 +596,8 @@ def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarr
     replaces the other terms psi by their tangent at the current point
     (convexity puts the tangent below psi), and moves to the lowest root of
     the resulting quadratic.  Started at the root of the one-pole truncation,
-    which lies at or above the true root, the iterates decrease
+    which lies at or above the true root, or at start (c,) where that is
+    lower and still bounds the root from above, the iterates decrease
     monotonically to it.  With P = 0 the pole drops out and the floor is
     min(lam_1, root of the rest), which the same formula yields.  A floor
     still moving after SECULAR_MAX_ITER iterations stays an upper estimate;
@@ -513,8 +617,10 @@ def _riesz_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> np.ndarr
     mu = model_root(rho2, 1.0, pw)
     if rest_lam.size == 0:
         return mu
+    if start is not None:
+        np.minimum(mu, start, out=mu)
     active = np.arange(mu.size)
-    tol = 8.0 * np.finfo(float).eps * scale
+    tol = 8.0 * EPS * scale
     for _ in range(SECULAR_MAX_ITER):
         cur = mu[active]
         inv = 1.0 / (rest_lam - cur)
@@ -623,14 +729,24 @@ class _EigState:
     eigenvalues lam[n - r:]; the n - r null eigenvalues are exact zeros and
     their eigenvectors stay implicit.  At r = n, vecs is the unitary U of
     A = U diag(lam) U*.  Below RANK_MIN_N the state starts there, with
-    A = 0 and U = I, and never holds a partial basis.
+    A = 0 and U = I, and never holds a partial basis; _range_only (the Riesz
+    engine's state) holds the range basis at every n.
+
+    A partial basis lives in the last r rows of one n x n buffer, as U^T,
+    and vecs is a view of them: a new basis vector takes the row above, and
+    each update rotates the basis and writes its eigenvalues in place, so
+    nothing is concatenated per step.
     """
 
-    def __init__(self, sys: VectorSystem):
+    def __init__(self, sys: VectorSystem, _range_only: bool = False):
         n = sys.n
         self.sys = sys
         self.lam = np.zeros(n)
-        self.vecs = np.eye(n, n if n < RANK_MIN_N else 0, dtype=np.complex128)
+        if n < RANK_MIN_N and not _range_only:
+            self.vecs = np.eye(n, dtype=np.complex128)
+        else:
+            self._rows = np.empty((n, n), dtype=np.complex128)
+            self.vecs = self._rows[n:].T
 
     def forms(self, c: np.ndarray) -> np.ndarray:
         """v_j* f(A) v_j of every row j, where f maps each lam[k] to c[k].
@@ -652,51 +768,80 @@ class _EigState:
     def add(self, v: np.ndarray, t: float) -> None:
         """Update the state to A + t vv* (t > 0).
 
-        At full rank this is _eig_update.  Otherwise v's residual p outside
-        the range (projected twice, as in classical Gram-Schmidt) becomes a
-        new basis vector with eigenvalue 0 before the rank-one solve, which
-        then runs on r + 1 columns.  The residual is dropped instead when its
-        terms in A + t vv*, t ||v|| ||p|| at most, are below the rounding of
-        A's eigenvalues by dlaed2's deflation test, 8 eps times the larger of
-        lam_max and t ||v||^2.
+        At full rank this is _eig_update.  From A = 0 it is closed form: the
+        eigenvalue t ||v||^2 with eigenvector v / ||v||.  Otherwise v's
+        residual p outside the range (projected twice, as in classical
+        Gram-Schmidt) becomes a new basis vector with eigenvalue 0 before the
+        rank-one solve, which then runs on r + 1 columns.  The residual is
+        dropped instead when its terms in A + t vv*, t ||v|| ||p|| at most,
+        are below the rounding of A's eigenvalues by dlaed2's deflation test,
+        8 eps times the larger of lam_max and t ||v||^2.
         """
         vecs = self.vecs
         n, r = vecs.shape
         if r == n:
             self.lam, self.vecs = _eig_update(self.lam, vecs, v, t)
             return
-        resid = v - vecs @ (v.conj() @ vecs).conj()
-        resid -= vecs @ (resid.conj() @ vecs).conj()
-        rho2, v2 = np.vdot(resid, resid).real, np.vdot(v, v).real
-        lam = self.lam[n - r :]
-        if t * math.sqrt(v2 * rho2) > 8.0 * np.finfo(float).eps * max(float(self.lam[-1]), t * v2):
-            lam = np.concatenate(([0.0], lam))
-            vecs = np.concatenate(((resid / math.sqrt(rho2))[:, None], vecs), axis=1)
-        lam, self.vecs = _eig_update(lam, vecs, v, t)
-        self.lam = np.concatenate((np.zeros(n - lam.size), lam))
+        rows = self._rows
+        v2 = np.vdot(v, v).real
+        if r == 0:
+            if v2 > 0.0:
+                rows[-1] = v / math.sqrt(v2)
+                self.lam[-1] = t * v2
+                self.vecs = rows[-1:].T
+            return
+        basis = rows[n - r :]
+        conj = basis.conj()
+        z = conj @ v  # U* v
+        resid = v - z @ basis
+        resid -= (conj @ resid) @ basis
+        rho2 = np.vdot(resid, resid).real
+        if t * math.sqrt(v2 * rho2) > 8.0 * EPS * max(float(self.lam[-1]), t * v2):
+            r += 1
+            rho = math.sqrt(rho2)
+            rows[n - r] = resid / rho
+            basis = rows[n - r :]
+            self.vecs = basis.T
+            z = np.concatenate(([rho], z))  # p* v / ||p|| = ||p||, p being orthogonal to U
+        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis)[0]
 
 
 def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
     """Eigendecomposition of U diag(lam) U* + t vv* from lam and U = vecs.
 
-    With z = U* v and the diagonal phase D = diag(z/|z|) (1 where z_k = 0),
-    the sum is (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose
-    middle factor is real symmetric.  _rank_one_eigh decomposes it into
-    lam' and Q, and U' = (U D) Q, one real n x 2n product.  U may also be
-    n x k with k < n orthonormal columns whose span holds v (_EigState's
-    range basis); the solve and the product then have order k.  t must be
-    positive.  v = 0 leaves lam and vecs unchanged: the middle factor is
-    then diag(lam), which the dense route decomposes exactly.
+    U may also be n x k with k < n orthonormal columns whose span holds v
+    (_EigState's range basis); the solve and the product then have order k.
+    t must be positive.  v = 0 leaves lam and vecs unchanged.
     """
-    z = (v.conj() @ vecs).conj()
+    return _rank_one_update(lam, vecs, (v.conj() @ vecs).conj(), t)
+
+
+def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out=None):
+    """_eig_update from the coordinates z = U* v in place of v.
+
+    With the diagonal phase D = diag(z/|z|) (1 where z_k = 0), the sum is
+    (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose middle
+    factor is real symmetric.  _rank_one_eigh decomposes it into lam' and
+    Q, and U' = (U D) Q, one real n x 2k product.  z = 0 leaves lam and
+    vecs unchanged: the middle factor is then diag(lam), which the dense
+    route decomposes exactly.  out, a C-contiguous k x n array, receives
+    U'^T; it may be vecs^T itself, since the product reads a scaled copy of
+    U.
+    """
     mod = np.abs(z)
-    zero = mod == 0.0
-    phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
+    if mod.all():
+        phase = z / mod
+    else:
+        zero = mod == 0.0
+        phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
     lam_new, q = _rank_one_eigh(lam, math.sqrt(t) * mod)
     # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
     # real and imaginary parts, which Q^T leaves apart.
     rotated = np.ascontiguousarray((vecs * phase).T)
-    return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
+    if out is None:
+        return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
+    np.matmul(q.T, rotated.view(np.float64), out=out.view(np.float64))
+    return lam_new, out.T
 
 
 def _rank_one_eigh(lam: np.ndarray, w: np.ndarray):
@@ -793,16 +938,12 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     return d[order] / scale, flt[:nn].reshape(n, n)[order].T
 
 
-def _pick(scores: np.ndarray, maximize: bool, scale: Optional[float] = None) -> int:
-    """Position of the first score within TIE_RTOL * scale of the best; -1 if none.
-
-    scale defaults to |best|; a score that is a difference of larger terms
-    passes the size of those terms instead, which sets its rounding.
-    """
+def _pick(scores: np.ndarray, maximize: bool) -> int:
+    """Position of the first score within TIE_RTOL * |best| of the best; -1 if none."""
     if scores.size == 0:
         return -1
     best = float(scores.max() if maximize else scores.min())
-    tol = TIE_RTOL * (abs(best) if scale is None else scale)
+    tol = TIE_RTOL * abs(best)
     near = scores >= best - tol if maximize else scores <= best + tol
     return int(np.argmax(near))
 

@@ -18,6 +18,7 @@ from expframes.errors import (
     NotParseval,
     TooManySubsets,
 )
+from test_linalg import resolvent_quadratics
 
 
 def fresh_spectrum(sys, res):
@@ -156,7 +157,7 @@ class TestBssSelect:
 
     def test_trajectory_replayed_through_resolvent_quadratics(self):
         # independent replication: rebuild the running sum from the log and
-        # recompute every step's scores with the public resolvent operation
+        # recompute every step's scores from a fresh decomposition per form
         g = ef.GridSpectrum(12, (0, 2, 7))
         sys = fourier_system(g)
         q = 1.8
@@ -177,8 +178,8 @@ class TestBssSelect:
             margins, upper_scores, lower_scores = [], [], []
             for i in range(m):
                 v = sys.vectors[i]
-                q1u, q2u = ef.resolvent_quadratics(a, u_next, v)
-                q1l, q2l = ef.resolvent_quadratics(a, l_next, v)
+                q1u, q2u = resolvent_quadratics(a, u_next, v)
+                q1l, q2l = resolvent_quadratics(a, l_next, v)
                 upper = q2u / (phi_u - phi_u_next) + q1u
                 lower = q2l / (phi_l_next - phi_l) - q1l
                 margins.append(lower - upper)
@@ -658,10 +659,10 @@ class TestDeterministicTies:
         assert [step.index for step in log] == [0, 1, 2]
 
     def test_pick_scale_sets_the_tolerance(self):
-        # margins are differences of scores near 1e3: a 1e-11 gap is rounding
+        # the tolerance is relative to the best score: near 0, a 1e-11 gap
+        # is not a tie
         margins = np.array([-1e-11, 0.0, -1.0])
         assert selection._pick(margins, True) == 1
-        assert selection._pick(margins, True, 2e3) == 0
 
     def test_pick_prefers_smallest_index_within_tolerance(self):
         scores = np.array([1.0 + 5e-13, 1.0, 1.0 - 5e-13, 2.0])
@@ -993,6 +994,154 @@ class TestRankOneRoutes:
         assert picked["laed"] == picked["dense"]
 
 
+def eager_rit_picks(sys, d):
+    """Picks of the Riesz greedy as it ran before the range state.
+
+    The reference loop: a k x m matrix of the chosen rows' inner products,
+    one complex eigh of the selected Gram per step, and the floor of every
+    free row at every step, picked by the engines' tie rule.
+    """
+    m, n = sys.m, sys.n
+    k = max(1, selection.safe_ceil((1.0 - d) * n))
+    vectors = sys.vectors
+    vectors_c = vectors.conj()
+    norm2 = np.einsum("ij,ij->i", vectors, vectors_c).real
+    cross = np.empty((k, m), dtype=complex)
+    free = np.ones(m, dtype=bool)
+    chosen = []
+    for step in range(k):
+        cand = np.flatnonzero(free)
+        if step == 0:
+            floors = norm2[cand]
+        else:
+            w2 = np.abs(vecs.conj().T @ cross[:step, cand]) ** 2
+            floors = selection._riesz_floors(lam, w2, norm2[cand])
+        best = int(cand[selection._pick(floors, maximize=True)])
+        free[best] = False
+        chosen.append(best)
+        cross[step] = vectors_c @ vectors[best]
+        lam, vecs = np.linalg.eigh(cross[: step + 1, chosen])
+    return chosen
+
+
+def rit_reference_cases():
+    """(system, d): arithmetic-progression and seeded cells on grids up to m = 128."""
+    cases = []
+    for m in (16, 32, 64, 128):
+        for step, offset in ((2, 0), (3, 1), (4, 0), (5, 2), (7, 1)):
+            cells = tuple(range(offset, m, step))
+            cases += [(fourier_system(ef.GridSpectrum(m, cells)), d) for d in (0.25, 0.6)]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(97,)))
+    for _ in range(24):
+        m = int(rng.choice((8, 16, 32, 64, 96, 128)))
+        n = int(rng.integers(1, m))
+        cells = tuple(sorted(int(c) for c in rng.choice(m, n, replace=False)))
+        d = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.999))))
+        cases.append((fourier_system(ef.GridSpectrum(m, cells)), d))
+    return cases
+
+
+# a cli-mix Riesz request whose floors tie exactly at lam_1 = 0.75 in step 3:
+# rows 3 and 7 both reach it, thr sits 1e-12 below lam_1, and the screen's
+# quadratic form then has entries up to lam_1/(lam_1 - thr) = 1e12, so a
+# screen that ignores their rounding drops row 3
+TIE_CELLS = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15)
+TIE_D = 0.6066665557516873
+
+
+# (RIT_BATCH, RIT_WORK): a batch of 1 or 2 with no work floor screens every
+# step of these small systems that has more than 2 or 4 free rows; the
+# defaults screen only the later steps at m = 128
+SCREENS = [(1, 0), (2, 0), (selection.RIT_BATCH, selection.RIT_WORK)]
+
+
+class TestRitScreen:
+    """The range-state Riesz loop, screened or not, against the eager loop."""
+
+    @pytest.mark.parametrize("batch,work", SCREENS)
+    def test_same_picks_as_eager_loop(self, monkeypatch, batch, work):
+        monkeypatch.setattr(selection, "RIT_BATCH", batch)
+        monkeypatch.setattr(selection, "RIT_WORK", work)
+        differ = []
+        for sys, d in rit_reference_cases():
+            got = [step.index for step in ef.rit_select(sys, d).barrier_log]
+            if got != eager_rit_picks(sys, d):
+                differ.append((sys.m, sys.n, d))
+        assert differ == []
+
+    @pytest.mark.parametrize("batch,work", SCREENS)
+    def test_exact_tie_at_the_smallest_pole(self, monkeypatch, batch, work):
+        monkeypatch.setattr(selection, "RIT_BATCH", batch)
+        monkeypatch.setattr(selection, "RIT_WORK", work)
+        sys = fourier_system(ef.GridSpectrum(16, TIE_CELLS))
+        log = ef.rit_select(sys, TIE_D).barrier_log
+        assert [step.index for step in log] == eager_rit_picks(sys, TIE_D) == [0, 2, 1, 3, 4, 6]
+        assert math.isclose(log[3].l, 0.75, rel_tol=1e-14)
+        assert math.isclose(log[2].lam_min, 0.75, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("batch,work", SCREENS[::2])
+    def test_orthogonal_rows(self, monkeypatch, batch, work):
+        # free rows orthogonal to every pick have zero secular weights
+        monkeypatch.setattr(selection, "RIT_BATCH", batch)
+        monkeypatch.setattr(selection, "RIT_WORK", work)
+        sys = ef.VectorSystem(np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0))
+        for d in (0.01, 0.5):
+            log = ef.rit_select(sys, d).barrier_log
+            assert [step.index for step in log] == eager_rit_picks(sys, d)
+
+    def test_dependent_picks_pin_floors_at_zero(self):
+        # a pick in the span of earlier ones adds a zero Gram eigenvalue with
+        # zero weight for every row: pretend one happened after rows 0 and 1
+        sys = fourier_system(ef.GridSpectrum(8, (0, 1, 2)))
+        state = selection._EigState(sys, _range_only=True)
+        for j in (0, 1):
+            state.add(sys.vectors[j], 1.0)
+        stale = np.full(8, 3 / 8)
+        stale[[0, 1]] = -np.inf
+        norm2 = np.full(8, 3 / 8)
+        floors = selection._rit_floors(state, 3, stale, norm2, sys.vectors.conj())
+        assert list(floors[:2]) == [-np.inf, -np.inf]
+        assert np.all(floors[2:] == 0.0)
+
+    def test_screen_solves_few_rows(self, monkeypatch):
+        # the bessel-riesz request (512, 64, 0.25): the floors solved are a
+        # small share of the free rows summed over the steps
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, 512, 64)))
+        sys = fourier_system(ef.GridSpectrum(512, tuple(sorted(rng.choice(512, 64, replace=False)))))
+        columns = []
+        floors = selection._riesz_floors
+
+        def counting(lam, w2, rho2, start=None):
+            columns.append(w2.shape[1])
+            return floors(lam, w2, rho2, start)
+
+        monkeypatch.setattr(selection, "_riesz_floors", counting)
+        log = ef.rit_select(sys, 0.25).barrier_log
+        free = sum(512 - step for step in range(1, len(log)))
+        assert len(log) == 48
+        assert sum(columns) < 0.25 * free
+
+    def test_warm_start_keeps_the_floors(self):
+        # floors of a smaller selection bound the floors of a larger one
+        # (Cauchy interlacing); started there, the solver finds the same roots
+        sys = fourier_system(ef.GridSpectrum(32, tuple(range(0, 32, 3))))
+        chosen, free = [0, 5, 9, 14, 21], [i for i in range(32) if i not in (0, 5, 9, 14, 21)]
+        norm2 = np.full(len(free), 11 / 32)
+
+        def floors(rows, start=None):
+            spec = ef.hermitian_eig(sys.gram_of(rows))
+            cross = sys.vectors[rows] @ sys.vectors[free].conj().T
+            w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
+            return selection._riesz_floors(spec.eigenvalues, w2, norm2, start)
+
+        bounds = floors(chosen[:-1])
+        cold, warm = floors(chosen), floors(chosen, bounds)
+        assert np.all(bounds >= cold - 1e-15)
+        assert np.abs(warm - cold).max() <= 1e-15
+        for i, f in zip(free, warm):
+            assert abs(f - oracle_riesz_floor(sys, chosen, i)) <= 1e-12
+
+
 class TestRitSize:
     def test_rounded_top_eigenvalue_does_not_add_a_row(self):
         # ||T||^2 evaluates to 4 - 4e-16 here, so a plain ceiling of
@@ -1007,36 +1156,44 @@ def solve_orders(sys, log):
     """Order of each step's rank-one solve: the rank of the sum after the pick.
 
     Below RANK_MIN_N the eigen-state holds all n columns from the start.
+    From RANK_MIN_N on it starts empty, and the first pick is decomposed in
+    closed form, with no solve.
     """
     n = sys.n
     if n < selection.RANK_MIN_N:
         return [n] * len(log)
     picks = [step.index for step in log]
-    return [int(np.linalg.matrix_rank(sys.vectors[picks[: s + 1]])) for s in range(len(picks))]
+    return [int(np.linalg.matrix_rank(sys.vectors[picks[: s + 1]])) for s in range(1, len(picks))]
 
 
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
-    One decomposition per pick in each greedy loop.  The two-sided and
-    upper loops update theirs by one real rank-one solve per pick
+    One decomposition per pick in each greedy loop.  Every loop updates the
+    eigen-state of its running sum by one real rank-one solve per pick
     (_EigState.add), through whichever route ran: LAPACK's rank-one merge
-    ("laed", counted when it returns a result) or a real eigh; they make
-    no complex eigh call at all.  While the running sum has rank r < n
-    (from RANK_MIN_N on), the solve has order r + 1, or r when the pick
-    adds no direction; at full rank, and below RANK_MIN_N, it has order n.
-    The Riesz loop decomposes its Gram with np.linalg.eigh.  The engines
-    certify nothing and size the Riesz selection without a decomposition,
-    so they make no hermitian_eig call, and no candidate gets its own
-    eigvalsh call.
+    ("laed", counted when it returns a result) or a real eigh; no loop
+    makes a complex eigh call.  A pick into an empty state, A = 0, is
+    decomposed in closed form instead ("closed").  While the running sum
+    has rank r < n (from RANK_MIN_N on, and at every n in the Riesz loop),
+    the solve has order r + 1, or r when the pick adds no direction; at
+    full rank, and below RANK_MIN_N, it has order n.  The engines certify
+    nothing and size the Riesz selection without a decomposition, so they
+    make no hermitian_eig call, and no candidate gets its own eigvalsh call.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = dict.fromkeys(
-            ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "steps", "runs"), 0
-        )
+        keys = ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "closed", "steps")
+        tally = dict.fromkeys(keys + ("runs",), 0)
         tally["orders"] = []
+        add = selection._EigState.add
+
+        def counting_add(state, v, t):
+            tally["closed"] += state.vecs.shape[1] == 0
+            return add(state, v, t)
+
+        monkeypatch.setattr(selection._EigState, "add", counting_add)
         rank_one = selection._rank_one_eigh
         monkeypatch.setattr(
             selection,
@@ -1089,18 +1246,30 @@ class TestWorkCount:
         restarts = counts["runs"] - 1
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
-        # one rank-one solve per pick; a failed run scores one step it cannot pick
-        assert counts["eigh_real"] + counts["laed"] == counts["steps"] - restarts
+        # one rank-one solve per pick but the closed-form ones; a failed run
+        # scores one step it cannot pick
+        solves = counts["eigh_real"] + counts["laed"]
+        assert solves == len(counts["orders"]) == counts["steps"] - restarts - counts["closed"]
         if case == "restart":
             assert restarts >= 1
-        # the last run's solves, one per logged pick
-        assert counts["orders"][-len(res.barrier_log) :] == solve_orders(sys, res.barrier_log)
+        # the last run's solves, one per logged pick but a closed-form first
+        last = solve_orders(sys, res.barrier_log)
+        assert counts["orders"][len(counts["orders"]) - len(last) :] == last
 
     def test_rit_select(self, counts):
-        res = ef.rit_select(fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3)))), 0.25)
+        # n = 22 < RANK_MIN_N: the Riesz state still holds only the range
+        sys = fourier_system(ef.GridSpectrum(64, tuple(range(0, 64, 3))))
+        res = ef.rit_select(sys, 0.25)
+        log = res.barrier_log
         assert counts["eigvalsh"] == 0
-        assert counts["eig"] == 0
-        assert counts["eigh"] == len(res.barrier_log)
+        assert counts["eig"] == counts["eigh_complex"] == 0
+        # one rank-one solve per pick after the first, which is closed form
+        assert counts["closed"] == 1
+        assert counts["eigh_real"] + counts["laed"] == len(log) - 1
+        picks = [step.index for step in log]
+        ranks = [int(np.linalg.matrix_rank(sys.vectors[picks[: s + 1]])) for s in range(len(picks))]
+        assert ranks == list(range(1, len(log) + 1))
+        assert counts["orders"] == ranks[1:]
 
     def test_bss_select(self, counts):
         self.check_bss_select(counts)
@@ -1115,18 +1284,20 @@ class TestWorkCount:
         res = ef.bss_select(sys, 2.0)
         assert counts["eigvalsh"] == 0
         assert counts["eig"] == counts["eigh_complex"] == 0
-        assert counts["eigh_real"] + counts["laed"] == len(res.barrier_log)
+        assert counts["eigh_real"] + counts["laed"] == len(res.barrier_log) - counts["closed"]
         assert counts["orders"] == solve_orders(sys, res.barrier_log)
 
     def test_bss_select_rank_deficient_at_the_default_crossover(self, counts):
-        # n = RANK_MIN_N: the first n steps solve orders 1, 2, ..., n
+        # n = RANK_MIN_N: the first pick is closed form, then steps 2..n
+        # solve orders 2, ..., n
         n = selection.RANK_MIN_N
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(79, n)))
         cells = tuple(sorted(rng.choice(4 * n, n, replace=False)))
         sys = fourier_system(ef.GridSpectrum(4 * n, cells))
         res = ef.bss_select(sys, 1.5)
         assert counts["orders"] == solve_orders(sys, res.barrier_log)
-        assert counts["orders"][:n] == list(range(1, n + 1))
+        assert counts["closed"] == 1
+        assert counts["orders"][: n - 1] == list(range(2, n + 1))
 
     def test_bss_unweighted_stops_at_full_coverage(self, counts):
         # a cli-mix sampling request whose greedy picks all 32 rows by step 32
