@@ -28,7 +28,6 @@ from .errors import (
     NotHermitian,
     NotParseval,
     PeriodMismatch,
-    ShiftInsideSpectrum,
     SpectrumFormatError,
     TooManySubsets,
 )

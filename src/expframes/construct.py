@@ -80,7 +80,7 @@ class ConstructionReport:
     there).  A builder raises CertificateFailed rather than report a set
     that misses its target (bessel sets have none), so "pass" is always true.
     The engine's SelectionResult is not kept: sampling_set holds its
-    residues, and no caller reads its weights or barrier log.
+    residues, and no caller reads its barrier log.
     """
 
     spectrum: GridSpectrum

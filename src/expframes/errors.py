@@ -26,10 +26,6 @@ class NotHermitian(ExpframesError):
     """Matrix asymmetry exceeds the Hermitian tolerance."""
 
 
-class ShiftInsideSpectrum(ExpframesError):
-    """Resolvent shift is inside (or too close to) the matrix spectrum."""
-
-
 class NotParseval(ExpframesError):
     """Vector system does not resolve the identity within tolerance."""
 

@@ -3,13 +3,14 @@
 Four selectors over a finite system {v_i} in complex n-space:
 
 * bss_select      -- two-sided barrier greedy with positive weights; the
-                     selected weighted sum has condition ratio at most the
-                     twice-Ramanujan bound ((sqrt(q)+1)/(sqrt(q)-1))^2 at
-                     oversampling q, with |J| <= safe_ceil(q*n).
-* bss_unweighted  -- drops the weights for equal-norm systems; the
-                     unweighted sum keeps the eigenvalue floor C(d) * n/m.
-                     Its loop stops once all m rows are picked, since the
-                     later steps only add weight to picked rows.
+                     weighted sum in its barrier log has condition ratio at
+                     most the twice-Ramanujan bound
+                     ((sqrt(q)+1)/(sqrt(q)-1))^2 at oversampling q, with
+                     |J| <= safe_ceil(q*n).  It stops once all m rows are
+                     picked, and returns Z_m, whose unit-weight sum is I.
+* bss_unweighted  -- the same run on equal-norm systems, read without the
+                     weights: the unweighted sum keeps the eigenvalue floor
+                     C(d) * n/m.
 * rit_select      -- restricted-invertibility style lower-barrier greedy:
                      picks ceil((1-d)*n) rows whose Gram stays above
                      (1-sqrt(1-d))^2 * n/m.
@@ -241,43 +242,43 @@ class BarrierStep:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen index set, its weights and the loop's per-step trajectory.
+    """Chosen index set and the loop's per-step trajectory.
 
-    weights is empty for the unweighted engines, otherwise parallel to
-    indices.  No bound is carried: the builders certify a selection once,
-    through expframes.verify.  barrier_log is empty when a degenerate
-    shortcut returned the full index set.
+    No bound is carried: the builders certify a selection once, through
+    expframes.verify.  The weights of a two-sided run are the weight entries
+    of its barrier_log.  barrier_log is empty when n = m and the engine
+    returned the full index set without a loop.
     """
 
     indices: tuple[int, ...]
-    weights: tuple[float, ...]
     barrier_log: tuple[BarrierStep, ...] = field(default=())
 
 
-def _full_selection(sys: VectorSystem, weighted: bool) -> SelectionResult:
-    """Degenerate regime: return every index (unit weights when weighted)."""
-    idx = tuple(range(sys.m))
-    return SelectionResult(idx, (1.0,) * sys.m if weighted else ())
-
-
-def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> SelectionResult:
+def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     """Two-sided weighted barrier selection at oversampling q > 1.
 
-    Runs safe_ceil(q*n) greedy steps, rounded as build_sampling rounds its
-    size cap, so float dust in q*n cannot add a step.  At each step the upper
-    barrier u and lower barrier l advance by fixed increments; a candidate i
-    is feasible when its upper score U(v_i) does not exceed its lower score
-    L(v_i), and the added weight is the reciprocal midpoint 2/(U+L).  The
-    schedule
+    Runs at most safe_ceil(q*n) greedy steps, rounded as build_sampling
+    rounds its size cap, so float dust in q*n cannot add a step.  At each
+    step the upper barrier u and lower barrier l advance by fixed
+    increments; a candidate i is feasible when its upper score U(v_i) does
+    not exceed its lower score L(v_i), and the added weight is the
+    reciprocal midpoint 2/(U+L).  The schedule
 
         delta_l = 1, eps_l = 1/sqrt(q), l0 = -n*sqrt(q),
         delta_u = (sqrt(q)+1)/(sqrt(q)-1),
         eps_u = (sqrt(q)-1)/(sqrt(q)*(sqrt(q)+1)), u0 = n/eps_u
 
     keeps both potentials bounded and yields a final condition ratio of at
-    most condition_ratio_bound(q).  Weights are rescaled at the end so the
-    weighted sum's lambda_min is 1.  Indices may be picked repeatedly;
-    weight then accumulates and |indices| counts distinct picks.
+    most condition_ratio_bound(q) for the weighted sum sum_steps t v v*,
+    whose weights t are the barrier_log's weight entries.  Indices may be
+    picked repeatedly; weight then accumulates and |indices| counts
+    distinct picks.
+
+    The loop stops after the step that picks the last of the m rows: the
+    index set is then Z_m, which no later step can change, and its
+    unit-weight sum is the identity, of ratio 1.  barrier_log then ends at
+    that step.  A run that covers the rows only on its last step, or never,
+    takes the ratio guard.
 
     Ties: a candidate's margin L - U is a difference, so its rounding scales
     with the scores, not with the margin.  An eigenvalue's rounding error
@@ -300,16 +301,11 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     eigh), two n x n products, then O(n^2 + m log m) on a Fourier grid
     system.  While A has rank r < n (the first n steps, from n = RANK_MIN_N
     on) the solve has order r + 1 and both products have rank r.  The ratio
-    guard and the weight scale read the loop's last eigenvalues; no bound is
-    returned.
+    guard reads the loop's last eigenvalues; no bound is returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
     CertificateFailed if the loop's final ratio exceeds the bound.
-
-    _unweighted is bss_unweighted's private entry: the result carries no
-    weights, and the loop stops after the step that picks the last of the m
-    rows, since later steps only add weight to rows already picked.
     """
     if not sys.parseval:
         raise NotParseval("bss_select requires a Parseval system")
@@ -323,7 +319,7 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     steps = safe_ceil(q * n)
     if n == m:
         # The identity is the unique Parseval completion; unit weights keep it.
-        return _full_selection(sys, weighted=not _unweighted)
+        return SelectionResult(tuple(range(m)))
 
     sq = math.sqrt(q)
     delta_l, delta_u = 1.0, (sq + 1.0) / (sq - 1.0)
@@ -334,7 +330,7 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
     lam = state.lam
     phi_u, phi_l = n / upper, -n / lower
     norm2_max = float(np.max(np.einsum("ij,ij->i", sys.vectors, sys.vectors.conj()).real))
-    weights: dict[int, float] = {}
+    picked: set[int] = set()
     log: list[BarrierStep] = []
 
     for step in range(steps):
@@ -375,7 +371,7 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
         if not (t > 0.0 and math.isfinite(t)):
             raise NoFeasibleCandidate(f"non-positive weight at step {step}")
 
-        weights[chosen] = weights.get(chosen, 0.0) + t
+        picked.add(chosen)
         upper, lower = u_next, l_next
         state.add(sys.vectors[chosen], t)
         lam = state.lam
@@ -393,41 +389,33 @@ def bss_select(sys: VectorSystem, q: float, *, _unweighted: bool = False) -> Sel
                 lam_max=float(lam[-1]),
             )
         )
-        if _unweighted and len(weights) == m:
+        if len(picked) == m:
             break
 
-    if len(log) < steps:  # stopped at full coverage; no weights to certify
-        return SelectionResult(tuple(range(m)), (), tuple(log))
+    if len(log) < steps:  # stopped at full coverage: Z_m, whose unit-weight sum is I
+        return SelectionResult(tuple(range(m)), tuple(log))
     bound = condition_ratio_bound(q)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     if lam_min <= 0.0 or lam_max / lam_min > bound * (1.0 + RATIO_SLACK):
         raise CertificateFailed(f"condition ratio {lam_max / lam_min:.6g} exceeds {bound:.6g}")
-    indices = tuple(sorted(weights))
-    if _unweighted:
-        return SelectionResult(indices, (), tuple(log))
-    scale = 1.0 / lam_min
-    return SelectionResult(indices, tuple(weights[i] * scale for i in indices), tuple(log))
+    return SelectionResult(tuple(sorted(picked)), tuple(log))
 
 
 def bss_unweighted(sys: VectorSystem, d: float) -> SelectionResult:
     """Weight-free selection for equal-norm Parseval systems.
 
-    Runs bss_select at q = 1+d and returns the same index set without
-    weights.  Each weight is at most lambda_max * m/n, so the unweighted sum
-    inherits the floor lambda_min >= lower_certificate_constant(d) * n/m;
-    build_sampling checks that floor on the bounds verify computes.
-
-    The loop stops after the step whose pick completes all m rows: the index
-    set is the sorted set of distinct picks, so no later step can change it,
-    and barrier_log then ends at that step.  The floor is trivial there: the
-    m rows sum to the identity, so lambda_min = 1.  A run that completes the
-    rows only on its last step, or never, takes bss_select's ratio guard.
+    Runs bss_select at q = 1+d and reads its index set without the weights.
+    Each weight is at most lambda_max * m/n, so the unweighted sum inherits
+    the floor lambda_min >= lower_certificate_constant(d) * n/m;
+    build_sampling checks that floor on the bounds verify computes.  A run
+    that stopped at full coverage returns Z_m, whose floor is trivial: the m
+    rows sum to the identity, so lambda_min = 1.
     """
     if not d > 0.0:
         raise ValueError("d must be positive")
     if not sys.equal_norm:
         raise ValueError("bss_unweighted requires an equal-norm system")
-    return bss_select(sys, 1.0 + d, _unweighted=True)
+    return bss_select(sys, 1.0 + d)
 
 
 def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
@@ -466,7 +454,7 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         raise ValueError("rit_select requires an equal-norm system")
     m, n = sys.m, sys.n
     if n == m:
-        return _full_selection(sys, weighted=False)
+        return SelectionResult(tuple(range(m)))
 
     k = max(1, safe_ceil((1.0 - d) * n))
     vectors_c = sys.vectors.conj()
@@ -484,10 +472,10 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         stale[best] = -np.inf
         chosen.append(best)
         state.add(sys.vectors[best], 1.0)
-        lam, r = state.lam, state.vecs.shape[1]
-        lam_min = float(lam[n - r]) if r == step + 1 else 0.0
+        lam = state.lam
+        lam_min = float(lam[n - step - 1])  # A has rank step + 1
         log.append(BarrierStep(None, floor, None, None, best, 1.0, lam_min, float(lam[-1])))
-    return SelectionResult(tuple(sorted(chosen)), (), tuple(log))
+    return SelectionResult(tuple(sorted(chosen)), tuple(log))
 
 
 def _rit_floors(
@@ -495,19 +483,22 @@ def _rit_floors(
 ) -> np.ndarray:
     """Floors of all m rows after step picks; -inf for picked and screened-out rows.
 
-    state holds A = sum_{j in J} v_j v_j* on its range, of rank r.  The Gram
-    of J shares A's r nonzero eigenvalues lam, and row i's secular weights
-    on them are w2 = lam |U* v_i|^2; step - r dependent picks add zero
-    eigenvalues with zero weight, which pin every floor at 0.  stale holds
-    an upper bound of every free row's floor (-inf for picked rows); each
-    solve starts from it, and the bounds are tightened in place.
+    state holds A = sum_{j in J} v_j v_j* on its range, of rank r = step:
+    the rows of a Parseval system span C^n, so while fewer than n are
+    picked some free row lies outside their span and has a positive floor,
+    and _pick's band, relative to that best floor, never admits a floor of
+    0, i.e. a pick in the span of earlier ones.  The Gram of J shares A's r
+    nonzero eigenvalues lam, and row i's secular weights on them are
+    w2 = lam |U* v_i|^2.  stale holds an upper bound of every free row's
+    floor (-inf for picked rows); each solve starts from it, and the bounds
+    are tightened in place.
 
-    With no such zeros, more than 2 RIT_BATCH free rows and at least
-    RIT_WORK free rows times r, the rows are screened.  The RIT_BATCH rows
-    of largest bound are solved first; let thr = best - TIE_RTOL |best|,
-    the least floor of the tie band or below it.  When every other row's
-    bound is under thr, no other row is solved.  Otherwise, with thr
-    between 0 and lam_1, one quadratic-form pass gives
+    With more than 2 RIT_BATCH free rows and at least RIT_WORK free rows
+    times r, the rows are screened.  The RIT_BATCH rows of largest bound
+    are solved first; let thr = best - TIE_RTOL |best|, the least floor of
+    the tie band or below it.  When every other row's bound is under thr,
+    no other row is solved.  Otherwise, with thr between 0 and lam_1, one
+    quadratic-form pass gives
     f_i(thr) = rho2_i - thr - v_i* N v_i, N = U diag(lam/(lam - thr)) U*, for
     every row.  A floor reaches thr exactly when f_i(thr) >= 0, f being
     decreasing below lam_1, so only rows with f_i(thr) >= -err are solved.
@@ -525,22 +516,17 @@ def _rit_floors(
     r, n = basis.shape
     m = sys.m
     lam = state.lam[n - r :]
-    null = step - r
 
     def solve(rows: np.ndarray) -> np.ndarray:
         z = basis @ vectors_c[rows].T  # conj(U* v_i)
         w2 = z.real**2
         w2 += z.imag**2
         w2 *= lam[:, None]
-        if null:
-            w2 = np.concatenate((np.zeros((null, rows.size)), w2))
-        floors = _riesz_floors(
-            np.concatenate((np.zeros(null), lam)) if null else lam, w2, norm2[rows], stale[rows]
-        )
+        floors = _riesz_floors(lam, w2, norm2[rows], stale[rows])
         stale[rows] = floors
         return floors
 
-    if null or m - step <= 2 * RIT_BATCH or (m - step) * r < RIT_WORK:
+    if m - step <= 2 * RIT_BATCH or (m - step) * r < RIT_WORK:
         solve(np.flatnonzero(stale > -np.inf))
         return stale
     batch = np.argpartition(stale, m - RIT_BATCH)[m - RIT_BATCH :]
@@ -671,7 +657,7 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
         u0 *= 2.0
     else:  # pragma: no cover - doubling always terminates at desk scale
         raise CertificateFailed("upper barrier restart budget exhausted")
-    return SelectionResult(tuple(sorted(step.index for step in log)), (), log)
+    return SelectionResult(tuple(sorted(step.index for step in log)), log)
 
 
 def _upper_scores(state: _EigState, u_next: float):

@@ -62,17 +62,11 @@ def run_sampling_ensemble() -> dict:
         passed_caps = passed_caps and ok_cap
 
         log = ef.bss_unweighted(fourier_system(g), d).barrier_log
-        if 0 < len(log) < safe_ceil((1.0 + d) * n):
-            # the unweighted run stopped once every residue was picked; the
-            # ratio is read from the complete weighted run on the same system
-            log = ef.bss_select(fourier_system(g), 1.0 + d).barrier_log
-        if log:
+        ok_barriers = all(s.u - s.lam_max > 0.0 and s.lam_min - s.l > 0.0 for s in log)
+        if len(log) == safe_ceil((1.0 + d) * n):
             ratio = log[-1].lam_max / log[-1].lam_min
-            ok_barriers = all(
-                s.u - s.lam_max > 0.0 and s.lam_min - s.l > 0.0 for s in log
-            )
-        else:  # degenerate full-selection shortcut: unit weights, identity
-            ratio, ok_barriers = 1.0, True
+        else:  # n = m, or stopped once every residue was picked: Z_m, unit weights, identity
+            ratio = 1.0
         bound = ef.condition_ratio_bound(1.0 + d) * (1.0 + 1e-9)
         ok_ratio = ratio <= bound and ok_barriers
         passed_ratio = passed_ratio and ok_ratio

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -732,3 +733,29 @@ class TestHugeD:
         code, out, err = run_cli(capsys, *argv, d)
         assert code == 2 and out == ""
         assert "input error" in err and "exceeds the 10*m cap" in err
+
+
+def readme_cli_examples():
+    """The `expframes ...` commands of the README's CLI sh block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("expframes ")]
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        # the block documents every command; a parse that drops one fails here
+        commands = {argv[0] for argv in README_EXAMPLES}
+        assert commands == {"construct", "verify", "duality", "exhaust", "sweep"}
+
+    @pytest.mark.parametrize(
+        "argv", README_EXAMPLES, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)]
+    )
+    def test_example_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out

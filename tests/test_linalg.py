@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
-from expframes.errors import NotHermitian, ShiftInsideSpectrum
+from expframes.errors import NotHermitian
+
+
+class ShiftInsideSpectrum(ValueError):
+    """The resolvent shift lies inside (or too close to) the matrix spectrum."""
 
 
 def resolvent_quadratics(a: np.ndarray, shift: float, v: np.ndarray) -> tuple[float, float]:

@@ -22,8 +22,19 @@ from test_linalg import resolvent_quadratics
 
 
 def fresh_spectrum(sys, res):
-    """hermitian_eig of a selection's (weighted) outer sum, from its indices alone."""
-    return ef.hermitian_eig(sys.outer_sum(res.indices, res.weights or None))
+    """hermitian_eig of a selection's unweighted outer sum, from its indices alone."""
+    return ef.hermitian_eig(sys.outer_sum(res.indices))
+
+
+def weighted_spectrum(sys, res):
+    """hermitian_eig of a two-sided run's weighted sum, sum of step.weight v v* over its log.
+
+    An empty log (the n = m shortcut) stands for unit weights on its indices.
+    """
+    if not res.barrier_log:
+        return fresh_spectrum(sys, res)
+    log = res.barrier_log
+    return ef.hermitian_eig(sys.outer_sum([s.index for s in log], [s.weight for s in log]))
 
 
 def fresh_gram_spectrum(sys, res):
@@ -87,22 +98,35 @@ class TestVectorSystem:
         assert sys.vectors.tobytes() == expected.tobytes() == checked.vectors.tobytes()
 
 
+def seeded_coverage_cases(route):
+    """128 seeded (system, d) at m <= 32; at least 20 cover every row early."""
+    for i in range(128):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(67, i)))
+        m = (4, 8, 16, 32)[i % 4]
+        n = int(rng.integers(1, m))
+        cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
+        d = math.exp(rng.uniform(math.log(0.01), math.log(9.0)))
+        sys = fourier_system(ef.GridSpectrum(m, cells))
+        yield (ef.VectorSystem(sys.vectors) if route == "dense" else sys), d
+
+
 class TestBssSelect:
     def test_rank_one_rescaled_to_one(self):
         sys = fourier_system(ef.GridSpectrum(4, (0,)))
         res = ef.bss_select(sys, 2.0)
         assert len(res.indices) <= math.ceil(2.0)
-        spec = fresh_spectrum(sys, res)
-        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-12)
-        assert math.isclose(spec.lam_max, 1.0, rel_tol=1e-12)
+        spec = weighted_spectrum(sys, res)
+        # rescaled by its fresh lambda_min, the rank-one sum is exactly 1
+        assert math.isclose(spec.lam_max / spec.lam_min, 1.0, rel_tol=1e-12)
+        assert math.isclose(spec.lam_min, res.barrier_log[-1].lam_min, rel_tol=1e-12)
 
     def test_step_budget_covering_all_rows(self):
         # ceil(q*n) = m: the loop may pick every row; certificates still hold
         sys = fourier_system(ef.GridSpectrum(4, (0, 1)))
         res = ef.bss_select(sys, 2.0)
         assert len(res.indices) <= math.ceil(2.0 * 2)
-        spec = fresh_spectrum(sys, res)
-        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-9)
+        spec = weighted_spectrum(sys, res)
+        assert math.isclose(spec.lam_min, res.barrier_log[-1].lam_min, rel_tol=1e-9)
         assert spec.lam_max / spec.lam_min <= ef.condition_ratio_bound(2.0) * (1 + 1e-9)
 
     def test_real_run_certificate_and_log(self):
@@ -110,7 +134,7 @@ class TestBssSelect:
         res = ef.bss_select(sys, 2.0)
         bound = ef.condition_ratio_bound(2.0)
         assert len(res.indices) <= 4
-        spec = fresh_spectrum(sys, res)
+        spec = weighted_spectrum(sys, res)
         assert spec.lam_max / spec.lam_min <= bound * (1.0 + 1e-9)
         assert res.barrier_log
         # barriers strictly bracket the spectrum after every step
@@ -127,21 +151,40 @@ class TestBssSelect:
     def test_self_consistency_of_reported_extremes(self):
         sys = fourier_system(ef.GridSpectrum(12, (0, 2, 7)))
         res = ef.bss_select(sys, 1.8)
-        # the loop's last extremes, rescaled by 1/lam_min, are the fresh
-        # extremes of the rescaled weighted sum
+        # the loop's last extremes are the fresh extremes of the weighted
+        # sum rebuilt from the log; rescaled by 1/lam_min, its top is the ratio
         last = res.barrier_log[-1]
-        spec = fresh_spectrum(sys, res)
-        assert math.isclose(spec.lam_min, 1.0, rel_tol=1e-9)
-        assert math.isclose(spec.lam_max, last.lam_max / last.lam_min, rel_tol=1e-9)
-        assert spec.lam_max <= ef.condition_ratio_bound(1.8) * (1.0 + 1e-9)
+        spec = weighted_spectrum(sys, res)
+        assert math.isclose(spec.lam_min, last.lam_min, rel_tol=1e-9)
+        assert math.isclose(spec.lam_max / spec.lam_min, last.lam_max / last.lam_min, rel_tol=1e-9)
+        assert spec.lam_max / spec.lam_min <= ef.condition_ratio_bound(1.8) * (1.0 + 1e-9)
 
     def test_identity_system_full_selection(self):
         sys = ef.VectorSystem(np.eye(4))
         res = ef.bss_select(sys, 1.5)
-        assert res.indices == (0, 1, 2, 3)
-        assert max(res.weights) / min(res.weights) == 1.0
-        spec = fresh_spectrum(sys, res)
+        assert res.indices == (0, 1, 2, 3) and res.barrier_log == ()
+        spec = weighted_spectrum(sys, res)
         assert math.isclose(spec.lam_max / spec.lam_min, 1.0)
+
+    @pytest.mark.parametrize("route", ["grid", "dense"])
+    def test_stops_at_the_covering_step(self, route):
+        # the step that picks the last of the m rows ends the run, which then
+        # returns Z_m; every other run takes all safe_ceil(q n) steps
+        covered = 0
+        for sys, d in seeded_coverage_cases(route):
+            n, m = sys.n, sys.m
+            res = ef.bss_select(sys, 1.0 + d)
+            log = res.barrier_log
+            picks = [step.index for step in log]
+            steps = selection.safe_ceil((1.0 + d) * n)
+            if len(log) < steps:
+                covered += 1
+                assert res.indices == tuple(range(m))
+                assert len(set(picks[:-1])) == m - 1 and picks[-1] not in picks[:-1]
+            else:
+                assert len(log) == steps and res.indices == tuple(sorted(set(picks)))
+                assert len(set(picks[:-1])) < m
+        assert covered >= 20
 
     def test_rejects_bad_input(self):
         sys = ef.VectorSystem(np.eye(3) * 0.5)
@@ -205,7 +248,6 @@ class TestBssUnweighted:
         sys = fourier_system(ef.GridSpectrum(4, (0,)))
         for d in (0.5, 1.0, 3.0):
             res = ef.bss_unweighted(sys, d)
-            assert res.weights == ()
             floor = fresh_spectrum(sys, res).lam_min
             assert math.isclose(floor, 0.25, rel_tol=1e-12)
             assert floor >= ef.lower_certificate_constant(d) * 0.25
@@ -240,23 +282,9 @@ class TestBssUnweighted:
 
     @pytest.mark.parametrize("route", ["grid", "dense"])
     def test_same_set_as_weighted_run(self, route):
-        # stopping once every row is picked leaves the set of a full run
-        covered = 0
-        for i in range(128):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(67, i)))
-            m = (4, 8, 16, 32)[i % 4]
-            n = int(rng.integers(1, m))
-            cells = tuple(sorted(int(r) for r in rng.choice(m, size=n, replace=False)))
-            d = math.exp(rng.uniform(math.log(0.01), math.log(9.0)))
-            sys = fourier_system(ef.GridSpectrum(m, cells))
-            if route == "dense":
-                sys = ef.VectorSystem(sys.vectors)
-            res = ef.bss_unweighted(sys, d)
-            assert res.indices == ef.bss_select(sys, 1.0 + d).indices
-            if len(res.barrier_log) < selection.safe_ceil((1.0 + d) * n):
-                assert res.indices == tuple(range(m))
-                covered += 1
-        assert covered >= 20
+        # the unweighted engine is the two-sided run read without weights
+        for sys, d in seeded_coverage_cases(route):
+            assert ef.bss_unweighted(sys, d) == ef.bss_select(sys, 1.0 + d)
 
 
 class TestRitSelect:
@@ -1089,20 +1117,6 @@ class TestRitScreen:
             log = ef.rit_select(sys, d).barrier_log
             assert [step.index for step in log] == eager_rit_picks(sys, d)
 
-    def test_dependent_picks_pin_floors_at_zero(self):
-        # a pick in the span of earlier ones adds a zero Gram eigenvalue with
-        # zero weight for every row: pretend one happened after rows 0 and 1
-        sys = fourier_system(ef.GridSpectrum(8, (0, 1, 2)))
-        state = selection._EigState(sys, _range_only=True)
-        for j in (0, 1):
-            state.add(sys.vectors[j], 1.0)
-        stale = np.full(8, 3 / 8)
-        stale[[0, 1]] = -np.inf
-        norm2 = np.full(8, 3 / 8)
-        floors = selection._rit_floors(state, 3, stale, norm2, sys.vectors.conj())
-        assert list(floors[:2]) == [-np.inf, -np.inf]
-        assert np.all(floors[2:] == 0.0)
-
     def test_screen_solves_few_rows(self, monkeypatch):
         # the bessel-riesz request (512, 64, 0.25): the floors solved are a
         # small share of the free rows summed over the steps
@@ -1307,7 +1321,7 @@ class TestWorkCount:
         d = 5.483235128541909
         res = ef.bss_unweighted(fourier_system(ef.GridSpectrum(32, cells)), d)
         log = res.barrier_log
-        assert res.indices == tuple(range(32)) and res.weights == ()
+        assert res.indices == tuple(range(32))
         assert counts["eig"] == counts["eigh_complex"] == 0
         solves = counts["eigh_real"] + counts["laed"]
         assert solves == len(log) < selection.safe_ceil((1.0 + d) * 25)
