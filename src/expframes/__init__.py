@@ -13,7 +13,6 @@ from .construct import (
     build_bessel,
     build_riesz,
     build_sampling,
-    canonical_example,
     exhaust_general,
     fourier_system,
 )
@@ -57,7 +56,6 @@ from .verify import (
     BoundReport,
     DualityReport,
     TestSignal,
-    densities,
     duality_check,
     gram_quadrature_oracle,
     montecarlo_timedomain,

@@ -25,7 +25,7 @@ from .selection import (
     safe_ceil,
     upper_select,
 )
-from .spectrum import GridSpectrum, IntervalSet, complement, measure, quantize_inner
+from .spectrum import GridSpectrum, IntervalSet, _integer, complement, measure, quantize_inner
 
 KINDS = ("sampling", "bessel", "riesz")
 
@@ -34,6 +34,8 @@ class SamplingSet:
     """Periodic integer set J + mZ given by residues J of period m.
 
     All three densities (lower, upper, symmetric counting) equal |J|/m.
+    m and the residues must be integers (numpy's included), not bools or
+    floats: anything else raises ValueError, never truncated.
     """
 
     m: int
@@ -41,10 +43,13 @@ class SamplingSet:
     kind: str = "sampling"
 
     def __post_init__(self):
-        m = int(self.m)
+        try:
+            m = _integer(self.m)
+            res = tuple(sorted(_integer(j) for j in self.residues))
+        except SpectrumFormatError as exc:
+            raise ValueError(str(exc)) from None
         if m < 1:
             raise ValueError("period m must be positive")
-        res = tuple(sorted(int(j) for j in self.residues))
         if not res:
             raise ValueError("residue set must be nonempty")
         if len(set(res)) != len(res):
@@ -117,18 +122,6 @@ class ConstructionReport:
             self.constant_check,
             True,
         ]
-
-
-def canonical_example(m: int, j: int) -> SamplingSet:
-    """The exact-density set j + mZ, tight for the single-cell spectrum.
-
-    Against the spectrum with cell {0} the lower and upper bounds coincide
-    at 1/m and the density equals the spectrum measure, so this is the
-    reference point every other construction is measured against.
-    """
-    if not 0 <= j < m:
-        raise ValueError(f"offset {j} out of range [0, {m - 1}]")
-    return SamplingSet(m, (j,), "sampling")
 
 
 def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:

@@ -50,7 +50,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def riesz_floor_constant(d: float) -> float:
     return (1.0 - math.sqrt(1.0 - d)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSystem:
     """Finite family of m vectors in complex n-space, stored as rows.
 
@@ -140,7 +140,8 @@ class VectorSystem:
     need either property refuse a system without it.  Only
     construct.fourier_system builds a system that skips the measurement
     (both hold by construction) and evaluates quad_forms with an FFT; every
-    other system takes the dense route.
+    other system takes the dense route.  Systems compare and hash by
+    identity.
     """
 
     vectors: np.ndarray
@@ -148,7 +149,7 @@ class VectorSystem:
     equal_norm: bool = field(init=False)
     # Systems built by _fourier: with d = (r_b - r_a) mod m for every entry (a, b)
     # of an n x n matrix, the bins 2d and 2d + 1 of its real and imaginary parts.
-    _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.vectors, dtype=np.complex128)
@@ -208,23 +209,6 @@ class VectorSystem:
         flat = np.ascontiguousarray(b, dtype=np.complex128).ravel().view(np.float64)
         return np.fft.ifft(np.bincount(self._cell_diffs, flat, 2 * self.m).view(np.complex128))
 
-    def outer_sum(self, indices: Iterable[int], weights: Optional[Iterable[float]] = None) -> np.ndarray:
-        """Hermitian n x n sum of (weighted) outer products over the indices."""
-        idx = list(indices)
-        sel = self.vectors[idx]
-        if weights is None:
-            a = sel.T @ sel.conj()
-        else:
-            w = np.asarray(list(weights), dtype=np.float64)
-            a = (sel.T * w) @ sel.conj()
-        return 0.5 * (a + a.conj().T)
-
-    def gram_of(self, indices: Iterable[int]) -> np.ndarray:
-        """Hermitian |J| x |J| Gram matrix <v_a, v_b> of the selected rows."""
-        sel = self.vectors[list(indices)]
-        g = sel @ sel.conj().T
-        return 0.5 * (g + g.conj().T)
-
 
 @dataclass(frozen=True)
 class BarrierStep:
@@ -278,7 +262,9 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     index set is then Z_m, which no later step can change, and its
     unit-weight sum is the identity, of ratio 1.  barrier_log then ends at
     that step.  A run that covers the rows only on its last step, or never,
-    takes the ratio guard.
+    takes the ratio guard.  A system with n = m returns Z_m at once, with an
+    empty log, for any finite q*n; otherwise a step budget q*n above 10 m is
+    refused with ValueError.
 
     Ties: a candidate's margin L - U is a difference, so its rounding scales
     with the scores, not with the margin.  An eigenvalue's rounding error
@@ -312,14 +298,14 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     if not q > 1.0:
         raise ValueError("oversampling q must exceed 1")
     m, n = sys.m, sys.n
+    if n == m and q * n < math.inf:
+        # The identity is the unique Parseval completion; unit weights keep it.
+        return SelectionResult(tuple(range(m)))
     # Compared before the ceiling, which overflows when q*n is infinite.
     if q * n > 10 * m:
         shown = math.ceil(q * n) if math.isfinite(q * n) else "inf"
         raise ValueError(f"step budget ceil(q*n)={shown} exceeds the 10*m cap")
     steps = safe_ceil(q * n)
-    if n == m:
-        # The identity is the unique Parseval completion; unit weights keep it.
-        return SelectionResult(tuple(range(m)))
 
     sq = math.sqrt(q)
     delta_l, delta_u = 1.0, (sq + 1.0) / (sq - 1.0)
@@ -718,10 +704,11 @@ class _EigState:
     A = 0 and U = I, and never holds a partial basis; _range_only (the Riesz
     engine's state) holds the range basis at every n.
 
-    A partial basis lives in the last r rows of one n x n buffer, as U^T,
-    and vecs is a view of them: a new basis vector takes the row above, and
-    each update rotates the basis and writes its eigenvalues in place, so
-    nothing is concatenated per step.
+    Every basis lives in the last r rows of one n x n buffer, _rows, as
+    U^T, and vecs is a view of them: the full-rank start is _rows = I, the
+    range start an empty view.  A new basis vector takes the row above, and
+    each update writes the rotated basis into those rows through
+    _rank_one_update, so nothing is allocated or concatenated per step.
     """
 
     def __init__(self, sys: VectorSystem, _range_only: bool = False):
@@ -729,7 +716,8 @@ class _EigState:
         self.sys = sys
         self.lam = np.zeros(n)
         if n < RANK_MIN_N and not _range_only:
-            self.vecs = np.eye(n, dtype=np.complex128)
+            self._rows = np.eye(n, dtype=np.complex128)
+            self.vecs = self._rows.T
         else:
             self._rows = np.empty((n, n), dtype=np.complex128)
             self.vecs = self._rows[n:].T
@@ -754,21 +742,21 @@ class _EigState:
     def add(self, v: np.ndarray, t: float) -> None:
         """Update the state to A + t vv* (t > 0).
 
-        At full rank this is _eig_update.  From A = 0 it is closed form: the
-        eigenvalue t ||v||^2 with eigenvector v / ||v||.  Otherwise v's
-        residual p outside the range (projected twice, as in classical
-        Gram-Schmidt) becomes a new basis vector with eigenvalue 0 before the
-        rank-one solve, which then runs on r + 1 columns.  The residual is
-        dropped instead when its terms in A + t vv*, t ||v|| ||p|| at most,
-        are below the rounding of A's eigenvalues by dlaed2's deflation test,
-        8 eps times the larger of lam_max and t ||v||^2.
+        At full rank this is one _rank_one_update on z = U* v.  From A = 0 it
+        is closed form: the eigenvalue t ||v||^2 with eigenvector v / ||v||.
+        Otherwise v's residual p outside the range (projected twice, as in
+        classical Gram-Schmidt) becomes a new basis vector with eigenvalue 0
+        before the rank-one solve, which then runs on r + 1 columns.  The
+        residual is dropped instead when its terms in A + t vv*, t ||v|| ||p||
+        at most, are below the rounding of A's eigenvalues by dlaed2's
+        deflation test, 8 eps times the larger of lam_max and t ||v||^2.
         """
         vecs = self.vecs
         n, r = vecs.shape
-        if r == n:
-            self.lam, self.vecs = _eig_update(self.lam, vecs, v, t)
-            return
         rows = self._rows
+        if r == n:
+            self.lam = _rank_one_update(self.lam, vecs, (v.conj() @ vecs).conj(), t, rows)
+            return
         v2 = np.vdot(v, v).real
         if r == 0:
             if v2 > 0.0:
@@ -789,30 +777,21 @@ class _EigState:
             basis = rows[n - r :]
             self.vecs = basis.T
             z = np.concatenate(([rho], z))  # p* v / ||p|| = ||p||, p being orthogonal to U
-        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis)[0]
+        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis)
 
 
-def _eig_update(lam: np.ndarray, vecs: np.ndarray, v: np.ndarray, t: float):
-    """Eigendecomposition of U diag(lam) U* + t vv* from lam and U = vecs.
+def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray):
+    """Eigenvalues of U diag(lam) U* + t vv* from lam, U = vecs and z = U* v.
 
-    U may also be n x k with k < n orthonormal columns whose span holds v
-    (_EigState's range basis); the solve and the product then have order k.
-    t must be positive.  v = 0 leaves lam and vecs unchanged.
-    """
-    return _rank_one_update(lam, vecs, (v.conj() @ vecs).conj(), t)
-
-
-def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out=None):
-    """_eig_update from the coordinates z = U* v in place of v.
-
+    U is n x k with orthonormal columns whose span holds v, and t > 0.
     With the diagonal phase D = diag(z/|z|) (1 where z_k = 0), the sum is
     (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose middle
     factor is real symmetric.  _rank_one_eigh decomposes it into lam' and
-    Q, and U' = (U D) Q, one real n x 2k product.  z = 0 leaves lam and
-    vecs unchanged: the middle factor is then diag(lam), which the dense
-    route decomposes exactly.  out, a C-contiguous k x n array, receives
-    U'^T; it may be vecs^T itself, since the product reads a scaled copy of
-    U.
+    Q, and U' = (U D) Q, one real n x 2k product written into out, a
+    C-contiguous k x n array, as U'^T; out may be vecs^T itself, since the
+    product reads a scaled copy of U.  Returns lam', ascending.  z = 0
+    leaves lam and U unchanged: the middle factor is then diag(lam), which
+    the dense route decomposes exactly.
     """
     mod = np.abs(z)
     if mod.all():
@@ -824,10 +803,8 @@ def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float,
     # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
     # real and imaginary parts, which Q^T leaves apart.
     rotated = np.ascontiguousarray((vecs * phase).T)
-    if out is None:
-        return lam_new, (q.T @ rotated.view(np.float64)).view(np.complex128).T
     np.matmul(q.T, rotated.view(np.float64), out=out.view(np.float64))
-    return lam_new, out.T
+    return lam_new
 
 
 def _rank_one_eigh(lam: np.ndarray, w: np.ndarray):

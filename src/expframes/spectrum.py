@@ -51,23 +51,23 @@ class IntervalSet:
         """Normalized Lebesgue measure, in (0, 1]."""
         return sum(hi - lo for lo, hi in self.intervals) / TWO_PI
 
-    def contains(self, x: float) -> bool:
-        """Membership in the closure-tolerant sense of CELL_TOL."""
-        return any(lo - CELL_TOL <= x < hi + CELL_TOL for lo, hi in self.intervals)
-
 
 @dataclass(frozen=True)
 class GridSpectrum:
-    """Union of grid cells of order m, stored as sorted residues."""
+    """Union of grid cells of order m, stored as sorted residues.
+
+    m and the cells must be integers (numpy's included), not bools or
+    floats: anything else raises SpectrumFormatError, never truncated.
+    """
 
     m: int
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        m = int(self.m)
+        m = _integer(self.m)
+        cells = tuple(sorted(_integer(r) for r in self.cells))
         if m < 1:
             raise SpectrumFormatError("grid order m must be positive")
-        cells = tuple(sorted(int(r) for r in self.cells))
         if not cells:
             raise SpectrumFormatError("grid spectrum must have at least one cell")
         if len(set(cells)) != len(cells):
@@ -185,8 +185,7 @@ def parse_spectrum(text_or_obj) -> GridSpectrum | IntervalSet:
     if not isinstance(obj, dict):
         raise SpectrumFormatError("spectrum descriptor must be a JSON object")
     if "m" in obj and "cells" in obj:
-        cells = _list(obj["cells"], "cells")
-        return GridSpectrum(_integer(obj["m"]), tuple(_integer(r) for r in cells))
+        return GridSpectrum(obj["m"], tuple(_list(obj["cells"], "cells")))
     if "intervals" in obj:
         pairs = []
         for item in _list(obj["intervals"], "intervals"):

@@ -315,29 +315,3 @@ def montecarlo_timedomain(
         "upper": report.upper,
         "pass": bool(sandwich),
     }
-
-
-def densities(lam: "SamplingSet") -> dict:
-    """Lower, upper and symmetric counting densities; all |J|/m exactly."""
-    value = Fraction(len(lam.residues), lam.m)
-    return {"d_minus": value, "d_plus": value, "d_sharp": value}
-
-
-def periodic_section(lam: "SamplingSet", count: int) -> list[int]:
-    """The count members of the periodic set nearest zero, deterministically.
-
-    Sections taken as prefixes of this enumeration are nested, so their Gram
-    matrices interlace and the smallest eigenvalue is non-increasing in the
-    section size.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    members: list[int] = []
-    shell = 0
-    while len(members) < count:
-        for k in ((0,) if shell == 0 else (shell, -shell)):
-            for j in lam.residues:
-                members.append(j + k * lam.m)
-        shell += 1
-    members = sorted(set(members), key=lambda x: (abs(x), x))
-    return members[:count]

@@ -16,6 +16,7 @@ import pytest
 import expframes as ef
 from expframes.construct import fourier_system
 from expframes.selection import safe_ceil
+from test_verify import periodic_section
 
 SEED = 20250809
 
@@ -35,7 +36,7 @@ def run_canonical() -> dict:
     for m in (1, 2, 4, 8, 16):
         g = ef.GridSpectrum(m, (0,))
         for j in range(m):
-            rep = ef.sampling_bounds(g, ef.canonical_example(m, j))
+            rep = ef.sampling_bounds(g, ef.SamplingSet(m, (j,)))
             ok = (
                 abs(rep.lower - 1.0 / m) <= 1e-12
                 and abs(rep.upper - 1.0 / m) <= 1e-12
@@ -95,7 +96,7 @@ def run_brute_force_agreement() -> dict:
                     sys = fourier_system(ef.GridSpectrum(m, cells))
                     res = ef.bss_unweighted(sys, d)
                     k = len(res.indices)
-                    floor = ef.hermitian_eig(sys.outer_sum(res.indices)).lam_min
+                    floor = ef.hermitian_eig(ef.gram(sys.vectors[list(res.indices)].conj())).lam_min
                     _, best = ef.brute_force_best(sys, k, "max-of-lambda_min")
                     target = ef.lower_certificate_constant(d) * n / m
                     ok = floor >= target and best >= floor - 1e-12
@@ -141,7 +142,7 @@ def run_duality(cases) -> dict:
         interval = comp_cells.to_interval_set()
         prev, monotone = math.inf, True
         for size in (10, 20, 50, 100):
-            freqs = ef.verify.periodic_section(comp_res, size)
+            freqs = periodic_section(comp_res, size)
             val = float(np.linalg.eigvalsh(ef.gram_quadrature_oracle(interval, freqs))[0])
             monotone = monotone and val <= prev + 1e-9
             prev = val

@@ -186,6 +186,18 @@ class TestConstruct:
         payload = json.loads(out)
         assert len(payload["residues"]) <= 25 and payload["pass"] is True
 
+    @pytest.mark.parametrize(
+        "spectrum,d", [('{"m":4,"cells":[0,1,2,3]}', "10"), ('{"m":1,"cells":[0]}', "9.75")]
+    )
+    def test_full_spectrum_above_the_step_cap(self, capsys, spectrum, d):
+        # n = m takes Z_m without a greedy step, so the 10*m step cap does
+        # not apply: ceil((1+d)n) = 44 > 40 and 11 > 10 here
+        code, out, err = run_cli(capsys, "construct", "--spectrum", spectrum, "--d", d)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["residues"] == payload["cells"] and payload["pass"] is True
+        assert math.isclose(payload["lower"], 1.0) and math.isclose(payload["upper"], 1.0)
+
     def test_riesz_d_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d", "1.5", "--mode", "riesz"
@@ -716,18 +728,23 @@ class TestOneCertification:
 
 
 class TestHugeD:
-    """d so large that ceil((1+d)n) overflows is refused on the step cap."""
+    """d so large that ceil((1+d)n) overflows is refused on the step cap.
+
+    This holds for a full spectrum (n = m) too, which takes Z_m without a step
+    at any finite (1+d)n.
+    """
 
     @pytest.mark.parametrize("d", ["inf", "1e308"])
     @pytest.mark.parametrize(
         "argv",
         [
             ("construct", "--spectrum", '{"m":8,"cells":[0,1]}', "--d"),
+            ("construct", "--spectrum", '{"m":4,"cells":[0,1,2,3]}', "--d"),
             ("exhaust", "--spectrum", '{"m":8,"cells":[0,1]}', "--schedule", "8", "--d"),
             ("sweep", "--m-list", "8", "--s-list", "1/4", "--d-list"),
             ("sweep", "--m-list", "8", "--s-list", "1/4,1/2", "--jobs", "2", "--d-list"),
         ],
-        ids=["construct", "exhaust", "sweep", "sweep-jobs2"],
+        ids=["construct", "construct-full", "exhaust", "sweep", "sweep-jobs2"],
     )
     def test_exits_2(self, capsys, argv, d):
         code, out, err = run_cli(capsys, *argv, d)

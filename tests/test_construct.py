@@ -16,17 +16,34 @@ from expframes.selection import safe_ceil
 
 
 class TestCanonicalExample:
+    """The exact-density set j + mZ, tight for the single-cell spectrum {0}."""
+
     @pytest.mark.parametrize("m,j,expected", [(4, 1, 0.25), (1, 0, 1.0), (8, 5, 0.125)])
     def test_tight_bounds(self, m, j, expected):
-        lam = ef.canonical_example(m, j)
+        lam = ef.SamplingSet(m, (j,))
         rep = ef.sampling_bounds(ef.GridSpectrum(m, (0,)), lam)
         assert math.isclose(rep.lower, expected, rel_tol=1e-12)
         assert math.isclose(rep.upper, expected, rel_tol=1e-12)
         assert rep.density == Fraction(1, m)
 
     def test_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            ef.canonical_example(4, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            ef.SamplingSet(4, (4,))
+
+
+class TestSamplingSet:
+    @pytest.mark.parametrize(
+        "m,residues", [(4, (1.7,)), (4.5, (1,)), (4.0, (1,)), (True, (0,)), (4, (False,)), (4, ("1",))]
+    )
+    def test_refuses_non_integers(self, m, residues):
+        # refused, not truncated to SamplingSet(4, (1,)) and the like
+        with pytest.raises(ValueError, match="not an integer"):
+            ef.SamplingSet(m, residues)
+
+    def test_accepts_numpy_integers(self):
+        lam = ef.SamplingSet(np.int64(8), tuple(np.array([5, 2], dtype=np.int32)))
+        assert lam == ef.SamplingSet(8, (2, 5))
+        assert type(lam.m) is int and all(type(j) is int for j in lam.residues)
 
 
 class TestBuildSampling:

@@ -23,7 +23,7 @@ from test_linalg import resolvent_quadratics
 
 def fresh_spectrum(sys, res):
     """hermitian_eig of a selection's unweighted outer sum, from its indices alone."""
-    return ef.hermitian_eig(sys.outer_sum(res.indices))
+    return ef.hermitian_eig(ef.gram(sys.vectors[list(res.indices)].conj()))
 
 
 def weighted_spectrum(sys, res):
@@ -34,12 +34,18 @@ def weighted_spectrum(sys, res):
     if not res.barrier_log:
         return fresh_spectrum(sys, res)
     log = res.barrier_log
-    return ef.hermitian_eig(sys.outer_sum([s.index for s in log], [s.weight for s in log]))
+    scaled = np.sqrt([s.weight for s in log])[:, None] * sys.vectors[[s.index for s in log]].conj()
+    return ef.hermitian_eig(ef.gram(scaled))
+
+
+def gram_of(sys, rows):
+    """Hermitian Gram matrix <v_a, v_b> of the given rows."""
+    return ef.gram(sys.vectors[list(rows)].conj().T)
 
 
 def fresh_gram_spectrum(sys, res):
     """hermitian_eig of the coefficient Gram of a Riesz selection."""
-    return ef.hermitian_eig(sys.gram_of(res.indices))
+    return ef.hermitian_eig(gram_of(sys, res.indices))
 
 
 def eig2_min(a: float, b: float, c: complex) -> float:
@@ -82,6 +88,13 @@ class TestVectorSystem:
             ef.bss_unweighted(sys, 1.0)
         with pytest.raises(ValueError, match="equal-norm"):
             ef.rit_select(sys, 0.5)
+
+    def test_equality_and_hash_are_identity(self):
+        # a field-wise == would compare arrays and raise on their truth value
+        g = ef.GridSpectrum(8, (0, 3))
+        a, b = fourier_system(g), fourier_system(g)
+        assert a == a and a != b and a != ef.VectorSystem(a.vectors)
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     @pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (8, 3), (32, 31), (1024, 176), (4096, 8)])
     def test_fourier_rows_qualify(self, m, n):
@@ -311,7 +324,7 @@ class TestRitSelect:
         assert len(res.indices) >= 1
         floor = ef.riesz_floor_constant(0.75) * 2 / 6
         for j in range(6):
-            gram = sys.gram_of([j])
+            gram = gram_of(sys, [j])
             assert gram[0, 0].real >= floor
         assert fresh_gram_spectrum(sys, res).lam_min >= floor
 
@@ -432,7 +445,7 @@ def oracle_upper_scores(a, vectors, u_next):
 
 
 def oracle_riesz_floor(sys, chosen, i):
-    return float(np.linalg.eigvalsh(sys.gram_of(list(chosen) + [i]))[0])
+    return float(np.linalg.eigvalsh(gram_of(sys, list(chosen) + [i]))[0])
 
 
 def oracle_upper_run(sys, k, u0):
@@ -520,7 +533,7 @@ def replay_riesz(sys, res):
         free = [i for i in range(sys.m) if i not in chosen]
         oracle = {i: oracle_riesz_floor(sys, chosen, i) for i in free}
         if chosen:
-            spec = ef.hermitian_eig(sys.gram_of(chosen))
+            spec = ef.hermitian_eig(gram_of(sys, chosen))
             cross = sys.vectors[chosen] @ sys.vectors[free].conj().T
             w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
             norm2 = np.sum(np.abs(sys.vectors[free]) ** 2, axis=1)
@@ -530,7 +543,7 @@ def replay_riesz(sys, res):
         assert_tie_rule(oracle, step.index, True)
         assert abs(step.l - oracle[step.index]) <= 1e-10
         chosen.append(step.index)
-        vals = np.linalg.eigvalsh(sys.gram_of(chosen))
+        vals = np.linalg.eigvalsh(gram_of(sys, chosen))
         assert abs(step.lam_min - vals[0]) <= 1e-10
         assert abs(step.lam_max - vals[-1]) <= 1e-10
 
@@ -587,7 +600,7 @@ class TestClosedFormScoring:
         sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
         for chosen in (list(range(8)), list(range(0, 32, 4))):
             free = [i for i in range(32) if i not in chosen]
-            spec = ef.hermitian_eig(sys.gram_of(chosen))
+            spec = ef.hermitian_eig(gram_of(sys, chosen))
             cross = sys.vectors[chosen] @ sys.vectors[free].conj().T
             w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
             floors = selection._riesz_floors(spec.eigenvalues, w2, np.full(len(free), 12 / 32))
@@ -721,13 +734,24 @@ def eig_update_case(case, n=8):
     return lam, np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n))), v
 
 
+def eig_update(lam, vecs, v, t):
+    """(lam', U') of U diag(lam) U* + t vv* with U = vecs, by _rank_one_update.
+
+    U' is written over a copy of U^T that is also the U the update reads, as
+    _EigState.add does at full rank.
+    """
+    rows = np.ascontiguousarray(vecs.T)
+    new_lam = selection._rank_one_update(lam, rows.T, (v.conj() @ rows.T).conj(), t, rows)
+    return new_lam, rows.T
+
+
 class TestEigUpdate:
     @pytest.mark.parametrize("case", ["zero-start", "repeated", "zero-coordinates"])
     @pytest.mark.parametrize("t", [1.0, 1e3])
     def test_decomposes_the_updated_sum(self, case, t):
         lam, vecs, v = eig_update_case(case)
         ref = (vecs * lam) @ vecs.conj().T + t * np.outer(v, v.conj())
-        new_lam, new_vecs = selection._eig_update(lam, vecs, v, t)
+        new_lam, new_vecs = eig_update(lam, vecs, v, t)
         assert np.all(np.diff(new_lam) >= 0.0)
         residual = (new_vecs * new_lam) @ new_vecs.conj().T - ref
         assert np.linalg.norm(residual, 2) <= 1e-13 * np.linalg.norm(ref, 2)
@@ -740,13 +764,13 @@ class TestEigUpdate:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(67, 256, 64)))
         sys = fourier_system(ef.GridSpectrum(256, tuple(sorted(rng.choice(256, 64, replace=False)))))
         updates = []
-        original = selection._eig_update
+        add = selection._EigState.add
 
-        def recording(*args):
-            updates.append(original(*args))
-            return updates[-1]
+        def recording(state, v, t):
+            add(state, v, t)
+            updates.append(state.lam.copy())
 
-        monkeypatch.setattr(selection, "_eig_update", recording)
+        monkeypatch.setattr(selection._EigState, "add", recording)
         res = ef.bss_select(sys, 2.0)
         assert len(updates) == len(res.barrier_log) == 128
         a = np.zeros((64, 64), dtype=complex)
@@ -754,7 +778,7 @@ class TestEigUpdate:
             v = sys.vectors[step.index]
             a += step.weight * np.outer(v, v.conj())
         ref = np.linalg.eigvalsh(a)
-        assert np.allclose(updates[-1][0], ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(updates[-1], ref, rtol=1e-12, atol=0.0)
 
 
 def run_with_rank_min_n(monkeypatch, rank_min_n, run):
@@ -834,9 +858,14 @@ class TestRankAwareState:
             run()
             assert (23, 23) in ranks and ranks[-1][1] == 24
 
-    @pytest.mark.parametrize("n", [3, 24])
-    def test_partial_basis_holds_the_sum(self, monkeypatch, n):
-        monkeypatch.setattr(selection, "RANK_MIN_N", 1)
+    @pytest.mark.parametrize(
+        "n,start",
+        [(3, "range"), (24, "range"), (3, "full"), (24, "full")],
+        ids=["3", "24", "3-full", "24-full"],
+    )
+    def test_partial_basis_holds_the_sum(self, monkeypatch, n, start):
+        # the range state from RANK_MIN_N on, the full-rank start U = I below
+        monkeypatch.setattr(selection, "RANK_MIN_N", 1 if start == "range" else n + 1)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(83, n)))
         m = 4 * n
         sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
@@ -848,7 +877,9 @@ class TestRankAwareState:
             a += t * np.outer(sys.vectors[j], sys.vectors[j].conj())
             vecs, lam = state.vecs, state.lam
             r = vecs.shape[1]
-            assert r == min(step + 1, n)
+            assert r == (min(step + 1, n) if start == "range" else n)
+            # every update writes the basis into the state's one buffer
+            assert np.shares_memory(vecs, state._rows)
             assert np.all(np.diff(lam) >= 0.0) and np.all(lam[: n - r] == 0.0)
             assert np.abs(vecs.conj().T @ vecs - np.eye(r)).max() <= 1e-13
             held = (vecs * lam[n - r :]) @ vecs.conj().T
@@ -969,7 +1000,7 @@ class TestRankOneRoutes:
         rng = np.random.default_rng(n)
         vecs = random_unitary(rng, n)
         for lam in (np.sort(rng.random(n)), np.sort(rng.choice([0.0, 1.0], n))):
-            new_lam, new_vecs = selection._eig_update(lam, vecs, np.zeros(n, dtype=complex), 2.0)
+            new_lam, new_vecs = eig_update(lam, vecs, np.zeros(n, dtype=complex), 2.0)
             assert np.array_equal(new_lam, lam) and np.array_equal(new_vecs, vecs)
             assert selection._laed_eigh(lam, np.zeros(n)) is None
 
@@ -1007,7 +1038,7 @@ class TestRankOneRoutes:
         rng = np.random.default_rng(9)
         for n in (selection.LAED_MIN_N - 1, selection.LAED_MIN_N, 176):
             lam, vecs = np.sort(rng.random(n)), random_unitary(rng, n)
-            selection._eig_update(lam, vecs, rng.normal(size=n) + 1j * rng.normal(size=n), 1.0)
+            eig_update(lam, vecs, rng.normal(size=n) + 1j * rng.normal(size=n), 1.0)
         assert calls == [(selection.LAED_MIN_N - 1,) * 2]
 
     @pytest.mark.parametrize("m,n", [(64, 16), (256, 64), (1024, 176)])
@@ -1143,7 +1174,7 @@ class TestRitScreen:
         norm2 = np.full(len(free), 11 / 32)
 
         def floors(rows, start=None):
-            spec = ef.hermitian_eig(sys.gram_of(rows))
+            spec = ef.hermitian_eig(gram_of(sys, rows))
             cross = sys.vectors[rows] @ sys.vectors[free].conj().T
             w2 = np.abs(spec.eigenvectors.conj().T @ cross) ** 2
             return selection._riesz_floors(spec.eigenvalues, w2, norm2, start)

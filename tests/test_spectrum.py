@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
 from expframes.errors import EmptyComplement, NoCellFits, SpectrumFormatError
+from expframes.spectrum import CELL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -14,7 +16,8 @@ TWO_PI = 2.0 * math.pi
 def scan_contained(s: ef.IntervalSet, m: int, r: int, samples: int = 400) -> bool:
     """Independent containment oracle: dense point scan of the cell."""
     a, b = TWO_PI * r / m, TWO_PI * (r + 1) / m
-    return all(s.contains(a + (b - a) * t / samples) for t in range(samples + 1))
+    points = (a + (b - a) * t / samples for t in range(samples + 1))
+    return all(any(lo - CELL_TOL <= x < hi + CELL_TOL for lo, hi in s.intervals) for x in points)
 
 
 class TestIntervalSet:
@@ -52,6 +55,19 @@ class TestGridSpectrum:
             ef.GridSpectrum(4, (0, 0))
         with pytest.raises(SpectrumFormatError):
             ef.GridSpectrum(4, (4,))
+
+    @pytest.mark.parametrize(
+        "m,cells", [(4, (2.9,)), (4.5, (1,)), (4.0, (1,)), (True, (0,)), (4, (False,)), (4, ("1",))]
+    )
+    def test_refuses_non_integers(self, m, cells):
+        # refused, not truncated to GridSpectrum(4, (2,)) and the like
+        with pytest.raises(SpectrumFormatError, match="not an integer"):
+            ef.GridSpectrum(m, cells)
+
+    def test_accepts_numpy_integers(self):
+        g = ef.GridSpectrum(np.int64(8), tuple(np.array([3, 1], dtype=np.int32)))
+        assert g == ef.GridSpectrum(8, (1, 3))
+        assert type(g.m) is int and all(type(r) is int for r in g.cells)
 
     def test_to_interval_set_merges_adjacent(self):
         s = ef.GridSpectrum(4, (0, 1)).to_interval_set()

