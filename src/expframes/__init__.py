@@ -9,12 +9,10 @@ row selection on Fourier submatrices, plus an exact verification layer
 from .construct import (
     ConstructionReport,
     ExhaustionStage,
-    SamplingSet,
     build_bessel,
     build_riesz,
     build_sampling,
     exhaust_general,
-    fourier_system,
 )
 from .errors import (
     CertificateFailed,
@@ -38,6 +36,7 @@ from .selection import (
     bss_select,
     bss_unweighted,
     condition_ratio_bound,
+    fourier_system,
     lower_certificate_constant,
     riesz_floor_constant,
     rit_select,
@@ -46,6 +45,7 @@ from .selection import (
 from .spectrum import (
     GridSpectrum,
     IntervalSet,
+    SamplingSet,
     complement,
     measure,
     parse_spectrum,

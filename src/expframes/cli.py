@@ -40,7 +40,7 @@ from . import construct as cons
 from . import verify as ver
 from .errors import CertificateFailed, ExpframesError, NoFeasibleCandidate
 from .linalg import _openblas_function
-from .spectrum import GridSpectrum, parse_spectrum, quantize_inner
+from .spectrum import GridSpectrum, SamplingSet, parse_spectrum, quantize_inner
 
 CSV_VERSION = "expframes-csv v1"
 
@@ -121,12 +121,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     grid = _as_grid(_load_spectrum(args.spectrum), args.m)
-    lam = cons.SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
+    lam = SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
     report = ver.sampling_bounds(grid, lam)
     payload = report.to_dict()
-    payload["landau_violation"] = bool(
-        Fraction(len(lam.residues), lam.m) < Fraction(grid.n, grid.m)
-    )
+    payload["landau_violation"] = report.density < report.landau_floor
     if args.format == "csv":
         row = [
             grid.m, grid.n, len(lam.residues), float(report.density),
@@ -141,7 +139,7 @@ def cmd_verify(args) -> int:
 
 def cmd_duality(args) -> int:
     grid = _as_grid(_load_spectrum(args.spectrum), args.m)
-    lam = cons.SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
+    lam = SamplingSet(grid.m, _parse_list(args.residues, int, "residue"))
     report = ver.duality_check(grid, lam)
     _emit_json(report.to_dict())
     ok = report.vacuous or (report.factor_two_pass and report.exact_identity_pass)

@@ -6,7 +6,8 @@ selection engine on it and periodizing the chosen residues J to J + mZ
 yields a sampling set (two-sided engine, unweighted certificate), a Bessel
 set (upper engine), or a Riesz set (restricted-invertibility engine).  The
 exhaustion pipeline applies the same construction stage by stage to inner
-grid quantizations of an arbitrary interval union.
+grid quantizations of an arbitrary interval union.  Each builder certifies
+its set once, through expframes.verify, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -15,62 +16,26 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import verify
-from .errors import CertificateFailed, KTooLarge, SpectrumFormatError
+from .errors import CertificateFailed, SpectrumFormatError
+from .linalg import EIG_RESIDUAL_RTOL
 from .selection import (
-    VectorSystem,
     bss_unweighted,
+    fourier_system,
     lower_certificate_constant,
     riesz_floor_constant,
     rit_select,
     safe_ceil,
     upper_select,
 )
-from .spectrum import GridSpectrum, IntervalSet, _integer, complement, measure, quantize_inner
-
-KINDS = ("sampling", "bessel", "riesz")
-
-@dataclass(frozen=True)
-class SamplingSet:
-    """Periodic integer set J + mZ given by residues J of period m.
-
-    All three densities (lower, upper, symmetric counting) equal |J|/m.
-    m and the residues must be integers (numpy's included), not bools or
-    floats: anything else raises ValueError, never truncated.
-    """
-
-    m: int
-    residues: tuple[int, ...]
-    kind: str = "sampling"
-
-    def __post_init__(self):
-        try:
-            m = _integer(self.m)
-            res = tuple(sorted(_integer(j) for j in self.residues))
-        except SpectrumFormatError as exc:
-            raise ValueError(str(exc)) from None
-        if m < 1:
-            raise ValueError("period m must be positive")
-        if not res:
-            raise ValueError("residue set must be nonempty")
-        if len(set(res)) != len(res):
-            raise ValueError("duplicate residues")
-        if res[0] < 0 or res[-1] >= m:
-            raise ValueError("residue out of range [0, m-1]")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "residues", res)
-
-
-def fourier_system(g: GridSpectrum) -> VectorSystem:
-    """Rows of the normalized Fourier submatrix over the spectrum cells.
-
-    The m rows v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells} resolve the
-    identity on coefficient space and share squared norm n/m.  This is the
-    only way to get a system whose quad_forms uses an FFT.
-    """
-    return VectorSystem._fourier(g.m, g.cells)
-
+from .spectrum import (
+    GridSpectrum,
+    IntervalSet,
+    SamplingSet,
+    complement,
+    complement_residues,
+    measure,
+    quantize_inner,
+)
 
 CSV_COLUMNS = ("m", "n", "J", "density", "landau_floor", "lower", "upper", "C_target", "pass")
 
@@ -79,7 +44,8 @@ CSV_COLUMNS = ("m", "n", "J", "density", "landau_floor", "lower", "upper", "C_ta
 class ConstructionReport:
     """A constructed periodic set with the bounds verify certified for it.
 
-    bounds is the builder's one verify report.  constant_check holds the
+    kind names the builder: "sampling", "bessel" or "riesz".  bounds is
+    the builder's one verify report.  constant_check holds the
     certificate target C(d) * |S| for sampling and riesz kinds, and the
     achieved empirical ratio upper/|S| for bessel kind (no target exists
     there).  A builder raises CertificateFailed rather than report a set
@@ -88,6 +54,7 @@ class ConstructionReport:
     residues, and no caller reads its barrier log.
     """
 
+    kind: str
     spectrum: GridSpectrum
     sampling_set: SamplingSet
     param: float
@@ -100,7 +67,7 @@ class ConstructionReport:
             "n": self.spectrum.n,
             "cells": list(self.spectrum.cells),
             "residues": list(self.sampling_set.residues),
-            "kind": self.sampling_set.kind,
+            "kind": self.kind,
             "param": self.param,
             "lower": self.bounds.lower,
             "upper": self.bounds.upper,
@@ -130,22 +97,26 @@ def build_sampling(g: GridSpectrum, d: float) -> ConstructionReport:
     Selects residues with the unweighted two-sided engine and certifies the
     frame bounds once, through verify.sampling_bounds.  Guarantees
     |J| <= ceil((1+d) n), lower bound >= C(d) * n/m with
-    C(d) = lower_certificate_constant(d).
+    C(d) = lower_certificate_constant(d).  A target above 1 - EIG_RESIDUAL_RTOL
+    (a full spectrum at d >~ 1.6e21) is refused with ValueError.
     """
-    if not d > 0.0:
-        raise ValueError("d must be positive")
     result = bss_unweighted(fourier_system(g), d)
-    lam = SamplingSet(g.m, result.indices, "sampling")
+    target = lower_certificate_constant(d) * g.n / g.m
+    # No set's lower bound exceeds 1 (every J has Gram <= I), and verify
+    # vouches for its eigenvalues only to EIG_RESIDUAL_RTOL.
+    if target > 1.0 - EIG_RESIDUAL_RTOL:
+        raise ValueError(f"target lower bound {target!r} exceeds 1 - {EIG_RESIDUAL_RTOL:g}")
+    lam = SamplingSet(g.m, result.indices)
     cap = safe_ceil((1.0 + d) * g.n)
     if len(lam.residues) > cap:
         raise CertificateFailed(f"|J|={len(lam.residues)} exceeds ceil((1+d)n)={cap}")
     report = verify.sampling_bounds(g, lam)
-    target = lower_certificate_constant(d) * g.n / g.m
     if report.lower < target:
         raise CertificateFailed(
             f"recomputed lower bound {report.lower:.6g} below target {target:.6g}"
         )
     return ConstructionReport(
+        kind="sampling",
         spectrum=g,
         sampling_set=lam,
         param=d,
@@ -163,15 +134,14 @@ def build_bessel(g: GridSpectrum, k: Optional[int] = None) -> ConstructionReport
     """
     if k is None:
         k = min(g.n + 1, g.m)
-    if k > g.m:
-        raise KTooLarge(f"k={k} exceeds m={g.m}")
     if k < g.n:
         raise ValueError(f"k={k} below the cell count n={g.n}")
     result = upper_select(fourier_system(g), k)
-    lam = SamplingSet(g.m, result.indices, "bessel")
+    lam = SamplingSet(g.m, result.indices)
     report = verify.sampling_bounds(g, lam)
     ratio = report.upper / float(measure(g))
     return ConstructionReport(
+        kind="bessel",
         spectrum=g,
         sampling_set=lam,
         param=float(k),
@@ -189,7 +159,7 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
     |J| >= ceil((1-d) n) and lower bound >= (1-sqrt(1-d))^2 * n/m.
     """
     result = rit_select(fourier_system(omega), d)
-    gamma = SamplingSet(omega.m, result.indices, "riesz")
+    gamma = SamplingSet(omega.m, result.indices)
     size_floor = safe_ceil((1.0 - d) * omega.n)
     if len(gamma.residues) < size_floor:
         raise CertificateFailed(
@@ -202,6 +172,7 @@ def build_riesz(omega: GridSpectrum, d: float) -> ConstructionReport:
             f"recomputed Riesz bound {report.lower:.6g} below target {target:.6g}"
         )
     return ConstructionReport(
+        kind="riesz",
         spectrum=omega,
         sampling_set=gamma,
         param=d,
@@ -215,20 +186,20 @@ class ExhaustionStage:
     """One stage of the finite exhaustion pipeline.
 
     Holds the construction report of the inner quantization at this grid
-    order (report.spectrum), the complement residues, and the Riesz bounds
-    of the complement exponential system over the complementary cell union
-    (None when either complement is empty).
+    order (report.spectrum) and the Riesz bounds of the complement
+    exponential system, the residues outside the set over the cells outside
+    the spectrum (None when either complement is empty).
     """
 
     report: ConstructionReport
-    complement_residues: tuple[int, ...]
     complement_riesz: Optional[verify.BoundReport]
 
     def to_dict(self) -> dict:
+        lam = self.report.sampling_set
         return {
             "stage_m": self.report.spectrum.m,
             "report": self.report.to_dict(),
-            "complement_residues": list(self.complement_residues),
+            "complement_residues": list(complement_residues(lam.m, lam.residues)),
             "complement_riesz": (
                 None if self.complement_riesz is None else self.complement_riesz.to_dict()
             ),
@@ -267,12 +238,9 @@ def exhaust_general(
             report = build_sampling(g, d)
         else:
             report = build_bessel(g)
-        used = set(report.sampling_set.residues)
-        rest = tuple(j for j in range(m_k) if j not in used)
+        rest = complement_residues(m_k, report.sampling_set.residues)
         comp_riesz = None
         if rest and g.n < m_k:
-            comp_riesz = verify.riesz_bounds(
-                complement(g), SamplingSet(m_k, rest, "riesz")
-            )
-        stages.append(ExhaustionStage(report, rest, comp_riesz))
+            comp_riesz = verify.riesz_bounds(complement(g), SamplingSet(m_k, rest))
+        stages.append(ExhaustionStage(report, comp_riesz))
     return stages

@@ -37,7 +37,7 @@ quadratic-form pass cannot rule out, and picks as over all rows.  The
 scores depend only on the spectral projections, not on eigenvector
 phases, and only steer the greedy.  The engines read their scores as
 quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
-a system built by construct.fourier_system evaluates with one FFT.  The
+a grid system built by fourier_system evaluates with one FFT.  The
 engines only select: they certify nothing, and the bounds of a built set
 are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
@@ -50,7 +50,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .linalg import _openblas_function, dft_submatrix
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
+from .spectrum import GridSpectrum
 
 EPS = float(np.finfo(float).eps)
 PARSEVAL_RTOL = 1e-10
@@ -137,17 +138,16 @@ class VectorSystem:
     parseval when they resolve the identity (sum of v v* = I, Frobenius
     residual within PARSEVAL_RTOL * sqrt(n)), equal_norm when every squared
     norm is n/m (within EQUAL_NORM_RTOL * max(1, n/m)).  The engines that
-    need either property refuse a system without it.  Only
-    construct.fourier_system builds a system that skips the measurement
-    (both hold by construction) and evaluates quad_forms with an FFT; every
-    other system takes the dense route.  Systems compare and hash by
-    identity.
+    need either property refuse a system without it.  Only fourier_system,
+    below, builds a system that skips the measurement (both hold by
+    construction) and evaluates quad_forms with an FFT; every other system
+    takes the dense route.  Systems compare and hash by identity.
     """
 
     vectors: np.ndarray
     parseval: bool = field(init=False)
     equal_norm: bool = field(init=False)
-    # Systems built by _fourier: with d = (r_b - r_a) mod m for every entry (a, b)
+    # Systems built by fourier_system: with d = (r_b - r_a) mod m for every entry (a, b)
     # of an n x n matrix, the bins 2d and 2d + 1 of its real and imaginary parts.
     _cell_diffs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -164,25 +164,6 @@ class VectorSystem:
         deviation = float(np.abs(np.sum(np.abs(arr) ** 2, axis=1) - n / m).max())
         object.__setattr__(self, "parseval", residual <= PARSEVAL_RTOL * math.sqrt(n))
         object.__setattr__(self, "equal_norm", deviation <= EQUAL_NORM_RTOL * max(1.0, n / m))
-
-    @classmethod
-    def _fourier(cls, m: int, cells: Sequence[int]) -> VectorSystem:
-        """The rows v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells}, j = 0..m-1.
-
-        cells must be distinct residues in [0, m), as a GridSpectrum's are:
-        the m x n matrix is then n columns of the unitary DFT, Parseval and
-        equal-norm by construction, so __post_init__ measures neither.
-        """
-        rows = dft_submatrix(m, range(m), cells) / math.sqrt(m)
-        rows.setflags(write=False)
-        r = np.asarray(cells, dtype=np.int64)
-        diffs = 2 * ((r[None, :] - r[:, None]) % m).ravel()
-        diffs = np.stack((diffs, diffs + 1), axis=1).ravel()
-        system = object.__new__(cls)  # frozen: fill the fields without __init__
-        vars(system).update(
-            {"vectors": rows, "parseval": True, "equal_norm": True, "_cell_diffs": diffs}
-        )
-        return system
 
     @property
     def m(self) -> int:
@@ -208,6 +189,27 @@ class VectorSystem:
             return ((self.vectors.conj() @ b) * self.vectors).sum(axis=1)
         flat = np.ascontiguousarray(b, dtype=np.complex128).ravel().view(np.float64)
         return np.fft.ifft(np.bincount(self._cell_diffs, flat, 2 * self.m).view(np.complex128))
+
+
+def fourier_system(g: GridSpectrum) -> VectorSystem:
+    """Rows of the normalized Fourier submatrix over the spectrum cells.
+
+    The m rows v_j = (1/sqrt(m)) (e^{2i pi j r/m})_{r in cells} are n columns
+    of the unitary DFT: Parseval and equal-norm by construction, so neither
+    is measured.  This is the only way to get a system whose quad_forms
+    uses an FFT.
+    """
+    m = g.m
+    rows = dft_submatrix(m, range(m), g.cells) / math.sqrt(m)
+    rows.setflags(write=False)
+    r = np.asarray(g.cells, dtype=np.int64)
+    diffs = 2 * ((r[None, :] - r[:, None]) % m).ravel()
+    diffs = np.stack((diffs, diffs + 1), axis=1).ravel()
+    system = object.__new__(VectorSystem)  # frozen: fill the fields without __init__
+    vars(system).update(
+        {"vectors": rows, "parseval": True, "equal_norm": True, "_cell_diffs": diffs}
+    )
+    return system
 
 
 @dataclass(frozen=True)

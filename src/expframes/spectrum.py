@@ -1,6 +1,7 @@
-"""Spectra on the circle: finite interval unions and grid-cell unions.
+"""Spectra on the circle, and periodic sets J + mZ given by their residues.
 
-A grid spectrum of order m is a union of cells [2*pi*r/m, 2*pi*(r+1)/m).
+A grid spectrum of order m is a union of cells [2*pi*r/m, 2*pi*(r+1)/m);
+its cells, like the residues J, form a subset of Z_m checked by one rule.
 Interval sets quantize to grid spectra from the inside (cells fully
 contained) or the outside (cells meeting the set in positive measure).
 All values are immutable; operations are pure.
@@ -52,28 +53,47 @@ class IntervalSet:
         return sum(hi - lo for lo, hi in self.intervals) / TWO_PI
 
 
+def _subset(m, residues, error: type[Exception]) -> tuple[int, tuple[int, ...]]:
+    """(m, sorted residues) as ints; error if they break GridSpectrum's rule."""
+
+    def integer(x) -> int:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise error(f"{x!r} is not an integer")
+        return int(x)
+
+    m = integer(m)
+    res = tuple(sorted(integer(r) for r in residues))
+    if m < 1:
+        raise error("m must be positive")
+    if not res:
+        raise error("residue set must be nonempty")
+    if len(set(res)) != len(res):
+        raise error("duplicate residues")
+    if res[0] < 0 or res[-1] >= m:
+        raise error("residue out of range [0, m-1]")
+    return m, res
+
+
+def complement_residues(m: int, residues) -> tuple[int, ...]:
+    """Z_m minus residues, ascending; empty when residues cover Z_m."""
+    used = set(residues)
+    return tuple(r for r in range(m) if r not in used)
+
+
 @dataclass(frozen=True)
 class GridSpectrum:
     """Union of grid cells of order m, stored as sorted residues.
 
     m and the cells must be integers (numpy's included), not bools or
-    floats: anything else raises SpectrumFormatError, never truncated.
+    floats, with m >= 1 and the cells distinct and in [0, m): anything
+    else raises SpectrumFormatError, never truncated.
     """
 
     m: int
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        m = _integer(self.m)
-        cells = tuple(sorted(_integer(r) for r in self.cells))
-        if m < 1:
-            raise SpectrumFormatError("grid order m must be positive")
-        if not cells:
-            raise SpectrumFormatError("grid spectrum must have at least one cell")
-        if len(set(cells)) != len(cells):
-            raise SpectrumFormatError("duplicate cell residues")
-        if cells[0] < 0 or cells[-1] >= m:
-            raise SpectrumFormatError("cell residue out of range [0, m-1]")
+        m, cells = _subset(self.m, self.cells, SpectrumFormatError)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "cells", cells)
 
@@ -93,6 +113,24 @@ class GridSpectrum:
         return IntervalSet(tuple((lo, hi) for lo, hi in merged))
 
 
+@dataclass(frozen=True)
+class SamplingSet:
+    """Periodic integer set J + mZ given by residues J of period m.
+
+    All three densities (lower, upper, symmetric counting) equal |J|/m.
+    m and the residues obey GridSpectrum's rule for m and its cells;
+    anything else raises ValueError, never truncated.
+    """
+
+    m: int
+    residues: tuple[int, ...]
+
+    def __post_init__(self):
+        m, res = _subset(self.m, self.residues, ValueError)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "residues", res)
+
+
 def measure(g: GridSpectrum) -> Fraction:
     """Exact normalized measure n/m of a grid spectrum."""
     return Fraction(g.n, g.m)
@@ -100,8 +138,7 @@ def measure(g: GridSpectrum) -> Fraction:
 
 def complement(g: GridSpectrum) -> GridSpectrum:
     """Cell set of the complementary spectrum; measures add to 1."""
-    used = set(g.cells)
-    rest = tuple(r for r in range(g.m) if r not in used)
+    rest = complement_residues(g.m, g.cells)
     if not rest:
         raise EmptyComplement(f"spectrum already covers all {g.m} cells")
     return GridSpectrum(g.m, rest)
@@ -145,13 +182,6 @@ def quantize_outer(s: IntervalSet, m: int) -> GridSpectrum:
             if min(b, hi) - max(a, lo) > thresh:
                 hit.add(r)
     return GridSpectrum(m, tuple(sorted(hit)))
-
-
-def _integer(x) -> int:
-    """x as an int; anything but a non-bool integer is refused, not converted."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise SpectrumFormatError(f"{x!r} is not an integer")
-    return int(x)
 
 
 def _endpoint(x) -> float:

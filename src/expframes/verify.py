@@ -4,17 +4,15 @@ For a grid spectrum of order m and a periodic integer set J + mZ, the lower
 and upper sampling bounds are exactly the extreme eigenvalues of the scaled
 Gram of the corresponding Fourier submatrix; the Riesz bounds of a periodic
 exponential system over a cell union are the analogous column-Gram extremes.
-Each bound comes from one fresh hermitian_eig with its residual check.  A
-Riesz bound decomposes the smaller side: the normalized DFT is unitary, so
-complementary blocks share their non-unit singular values, and when fewer
-cells lie outside the union than there are exponentials, the Gram's
-spectrum is exactly 1 minus that of a c x c matrix over the c outside
-cells, plus eigenvalues equal to 1 (see riesz_bounds).  This module
-computes those numbers, checks the sampling/Riesz duality (both the
-classical factor-2 inequality and the sharper exact discrete identity),
-and validates them independently: a closed-form quadrature Gram oracle for
-finite sections, and seeded Monte-Carlo sampling of concrete band-limited
-signals in the time domain.
+Each bound comes from one fresh hermitian_eig with its residual check; a
+Riesz bound decomposes the smaller of two complementary blocks (see
+riesz_bounds).  This module computes those numbers, checks the
+sampling/Riesz duality (both the classical factor-2 inequality and the
+sharper exact discrete identity), and validates them independently: a
+closed-form quadrature Gram oracle for finite sections, and seeded
+Monte-Carlo sampling of concrete band-limited signals in the time domain.
+It certifies sets and builds none: residue sets come from
+expframes.spectrum, and no builder is imported.
 """
 
 from __future__ import annotations
@@ -22,16 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import PeriodMismatch
 from .linalg import dft_submatrix, gram, hermitian_eig
-from .spectrum import TWO_PI, GridSpectrum, IntervalSet, complement
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .construct import SamplingSet
+from .spectrum import (
+    TWO_PI,
+    GridSpectrum,
+    IntervalSet,
+    SamplingSet,
+    complement,
+    complement_residues,
+)
 
 TIGHT_TOL = 1e-10
 # Truncation allowance of the Monte-Carlo sandwich at 200 periods.
@@ -52,7 +54,11 @@ class BoundReport:
     upper: float
     density: Fraction
     landau_floor: Fraction
-    tight: bool
+
+    @property
+    def tight(self) -> bool:
+        """Whether the bounds agree within TIGHT_TOL: a tight frame."""
+        return abs(self.upper - self.lower) <= TIGHT_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +70,7 @@ class BoundReport:
         }
 
 
-def sampling_bounds(g: GridSpectrum, lam: "SamplingSet") -> BoundReport:
+def sampling_bounds(g: GridSpectrum, lam: SamplingSet) -> BoundReport:
     """Exact frame bounds of the periodic set lam for the spectrum g.
 
     lower/upper are the extreme eigenvalues of gram(F[J rows, I cols]) / m.
@@ -82,11 +88,10 @@ def sampling_bounds(g: GridSpectrum, lam: "SamplingSet") -> BoundReport:
         upper=upper,
         density=Fraction(len(lam.residues), lam.m),
         landau_floor=Fraction(g.n, g.m),
-        tight=bool(abs(upper - lower) <= TIGHT_TOL),
     )
 
 
-def riesz_bounds(omega: GridSpectrum, gamma: "SamplingSet") -> BoundReport:
+def riesz_bounds(omega: GridSpectrum, gamma: SamplingSet) -> BoundReport:
     """Exact Riesz bounds of the periodic exponential system gamma over omega.
 
     Bounds are the extreme eigenvalues of the |J| x |J| Gram G of the columns
@@ -117,7 +122,6 @@ def riesz_bounds(omega: GridSpectrum, gamma: "SamplingSet") -> BoundReport:
         upper=upper,
         density=Fraction(len(gamma.residues), gamma.m),
         landau_floor=Fraction(omega.n, omega.m),
-        tight=bool(abs(upper - lower) <= TIGHT_TOL),
     )
 
 
@@ -149,23 +153,18 @@ class DualityReport:
         }
 
 
-def duality_check(g: GridSpectrum, lam: "SamplingSet") -> DualityReport:
+def duality_check(g: GridSpectrum, lam: SamplingSet) -> DualityReport:
     """Compare the sampling bound of (g, lam) with the complement Riesz bound.
 
     The complement system is the exponentials on the unused residues over the
     complementary cell union.  Requires a proper spectrum (some cell free);
     a full residue set is reported as vacuous with A = +inf.
     """
-    from .construct import SamplingSet  # deferred to avoid an import cycle
-
-    if lam.m != g.m:
-        raise PeriodMismatch(f"set period {lam.m} != spectrum order {g.m}")
     b = sampling_bounds(g, lam).lower
-    used = set(lam.residues)
-    rest = tuple(r for r in range(lam.m) if r not in used)
+    rest = complement_residues(lam.m, lam.residues)
     if not rest:
         return DualityReport(b, math.inf, True, True, vacuous=True)
-    a = riesz_bounds(complement(g), SamplingSet(lam.m, rest, "riesz")).lower
+    a = riesz_bounds(complement(g), SamplingSet(lam.m, rest)).lower
     factor_two = (a / 2.0 <= b + 1e-12) and (b <= 2.0 * a + 1e-12)
     return DualityReport(
         sampling_lower=b,
@@ -271,7 +270,7 @@ class TestSignal:
 
 def montecarlo_timedomain(
     g: GridSpectrum,
-    lam: "SamplingSet",
+    lam: SamplingSet,
     seed: int,
     periods: int = 200,
     signals: int = 20,

@@ -148,7 +148,7 @@ class TestConstruct:
         assert payload["kind"] == mode and payload["pass"] is True
         grid = expframes.GridSpectrum(16, (0, 3, 5, 9))
         with cli._one_blas_thread():
-            fresh = bounds(grid, expframes.SamplingSet(16, payload["residues"], mode))
+            fresh = bounds(grid, expframes.SamplingSet(16, payload["residues"]))
         assert payload["lower"] == fresh.lower and payload["upper"] == fresh.upper
         assert payload["density"] == str(fresh.density)
         assert payload["landau_floor"] == str(fresh.landau_floor)
@@ -731,7 +731,8 @@ class TestHugeD:
     """d so large that ceil((1+d)n) overflows is refused on the step cap.
 
     This holds for a full spectrum (n = m) too, which takes Z_m without a step
-    at any finite (1+d)n.
+    at any finite (1+d)n.  At a finite d of about 1.6e21 and more, a full
+    spectrum's target C(d) is refused instead.
     """
 
     @pytest.mark.parametrize("d", ["inf", "1e308"])
@@ -750,6 +751,25 @@ class TestHugeD:
         code, out, err = run_cli(capsys, *argv, d)
         assert code == 2 and out == ""
         assert "input error" in err and "exceeds the 10*m cap" in err
+
+    @pytest.mark.parametrize("d", ["1e25", "1e31", "1e300"])
+    def test_full_spectrum_target_near_1_exits_2(self, capsys, d):
+        # C(d) lies within 1e-10 of 1, closer than verify certifies the
+        # lower bound of Z_m: an input error, never a certificate failure
+        for m in range(1, 65):
+            spectrum = json.dumps({"m": m, "cells": list(range(m))})
+            code, out, err = run_cli(capsys, "construct", "--spectrum", spectrum, "--d", d)
+            assert (code, out) == (2, ""), (m, err)
+            assert "input error" in err and "exceeds 1 - 1e-10" in err
+
+    def test_full_spectrum_at_moderate_d_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "--spectrum", '{"m":4,"cells":[0,1,2,3]}', "--d", "8")
+        assert code == 0
+        assert out == (
+            '{"m": 4, "n": 4, "cells": [0, 1, 2, 3], "residues": [0, 1, 2, 3], "kind": "sampling", '
+            '"param": 8.0, "lower": 1.0, "upper": 1.0, "density": "1", "landau_floor": "1", '
+            '"constant_check": 0.25, "pass": true}\n'
+        )
 
 
 def readme_cli_examples():

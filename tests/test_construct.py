@@ -205,6 +205,7 @@ class TestOneCertification:
         else:
             rep = ef.build_riesz(g, 0.5)
         assert len(returned) == 1 and rep.bounds is returned[0]
+        assert rep.kind == kind
 
     @pytest.mark.parametrize("kind", ["sampling", "riesz"])
     def test_bound_below_target_fails_the_build(self, monkeypatch, kind):
@@ -341,12 +342,20 @@ class TestExhaustGeneral:
             assert n == st.report.spectrum.n
             assert events[3 * i + 1][1] <= n and events[3 * i + 2][1] <= n
 
+    @pytest.mark.parametrize("mode", ["sampling", "bessel"])
+    def test_complement_residues_are_the_rest_of_z_m(self, mode):
+        s = ef.IntervalSet(((0.3, 0.9), (2.0, 2.5)))
+        for st in ef.exhaust_general(s, 1.0, (16, 32, 64), mode=mode):
+            m, residues = st.report.spectrum.m, st.report.sampling_set.residues
+            rest = sorted(set(range(m)) - set(residues))
+            assert rest and st.to_dict()["complement_residues"] == rest
+
     def test_bessel_mode(self):
         s = ef.IntervalSet(((0.0, math.pi),))
         stages = ef.exhaust_general(s, 1.0, (8, 16), mode="bessel")
         for st in stages:
             assert len(st.report.sampling_set.residues) == st.report.spectrum.n + 1
-            assert st.report.sampling_set.kind == "bessel"
+            assert st.report.kind == "bessel"
 
     def test_schedule_validation(self):
         s = ef.IntervalSet(((0.0, math.pi),))
@@ -373,5 +382,3 @@ class TestSerialization:
             ef.SamplingSet(4, (0, 0))
         with pytest.raises(ValueError):
             ef.SamplingSet(4, (4,))
-        with pytest.raises(ValueError):
-            ef.SamplingSet(4, (0,), "bogus")

@@ -76,6 +76,36 @@ class TestGridSpectrum:
         assert math.isclose(lo, 0.0, abs_tol=1e-15) and math.isclose(hi, math.pi)
 
 
+MALFORMED_SUBSETS = [
+    pytest.param(4.5, (1,), id="float-m"),
+    pytest.param(4.0, (1,), id="integral-float-m"),
+    pytest.param(True, (0,), id="bool-m"),
+    pytest.param("4", (1,), id="str-m"),
+    pytest.param(4, (1.7,), id="float-residue"),
+    pytest.param(4, (2.0,), id="integral-float-residue"),
+    pytest.param(4, (False,), id="bool-residue"),
+    pytest.param(4, ("1",), id="str-residue"),
+    pytest.param(0, (0,), id="m-zero"),
+    pytest.param(-3, (0,), id="m-negative"),
+    pytest.param(4, (), id="empty"),
+    pytest.param(4, (1, 2, 1), id="duplicate"),
+    pytest.param(4, (4,), id="above-range"),
+    pytest.param(4, (-1, 2), id="below-range"),
+]
+
+
+class TestSubsetsOfZm:
+    """GridSpectrum cells and SamplingSet residues obey one rule."""
+
+    @pytest.mark.parametrize("m,residues", MALFORMED_SUBSETS)
+    def test_refuses_malformed(self, m, residues):
+        with pytest.raises(SpectrumFormatError) as grid:
+            ef.GridSpectrum(m, residues)
+        with pytest.raises(ValueError) as periodic:
+            ef.SamplingSet(m, residues)
+        assert str(grid.value) == str(periodic.value)
+
+
 class TestQuantizeInner:
     def test_full_circle(self):
         s = ef.IntervalSet(((0.0, TWO_PI),))

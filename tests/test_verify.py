@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -39,6 +40,12 @@ class TestSamplingBounds:
         assert math.isclose(rep.lower, 0.25, rel_tol=1e-12)
         assert math.isclose(rep.upper, 0.25, rel_tol=1e-12)
         assert rep.tight and rep.density == Fraction(1, 4)
+
+    def test_tight_follows_the_bounds(self):
+        rep = ef.sampling_bounds(ef.GridSpectrum(4, (0,)), ef.SamplingSet(4, (2,)))
+        assert rep.tight and rep.to_dict()["tight"] is True
+        loose = dataclasses.replace(rep, lower=0.0)
+        assert loose.tight is False and loose.to_dict()["tight"] is False
 
     def test_two_cell_tight_frame(self):
         # hand oracle: gram(F[{0,2}, {0,1}]) = 2 * identity
@@ -92,7 +99,7 @@ class TestRieszBounds:
         # decomposed exactly when 0 < c < |gamma|
         rng = np.random.default_rng(m * n_omega + n_gamma)
         omega = ef.GridSpectrum(m, rng.choice(m, n_omega, replace=False).tolist())
-        gamma = ef.SamplingSet(m, rng.choice(m, n_gamma, replace=False).tolist(), "riesz")
+        gamma = ef.SamplingSet(m, rng.choice(m, n_gamma, replace=False).tolist())
         orders = []
         original = verify.hermitian_eig
 
