@@ -31,6 +31,7 @@ from .spectrum import (
     GridSpectrum,
     IntervalSet,
     SamplingSet,
+    _grid_order,
     complement,
     complement_residues,
     measure,
@@ -219,13 +220,15 @@ def exhaust_general(
 
     For each grid order in the strictly increasing schedule, quantize s from
     the inside and run build_sampling (or build_bessel with k = n+1 in
-    bessel mode).  Along a doubling schedule the quantized measures are
-    non-decreasing.  No limit object is extracted; the stage list is the
-    output.
+    bessel mode).  Every order obeys GridSpectrum's rule for m (an integer,
+    numpy's included, of at least 1; never a bool or a float), checked
+    before any stage is built; anything else raises SpectrumFormatError.
+    Along a doubling schedule the quantized measures are non-decreasing.
+    No limit object is extracted; the stage list is the output.
     """
     if mode not in ("sampling", "bessel"):
         raise ValueError("mode must be 'sampling' or 'bessel'")
-    orders = [int(m) for m in schedule]
+    orders = [_grid_order(m) for m in schedule]
     if not orders:
         raise SpectrumFormatError("schedule must be nonempty")
     if any(b <= a for a, b in zip(orders, orders[1:])):

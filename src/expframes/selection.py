@@ -33,9 +33,12 @@ basis of its range: the rank-one solve then has order r + 1, and it, the
 rotation and the packed product of rank r cost O(n r^2) instead of
 O(n^3).  The Riesz engine reads its Gram's eigenvalues from that range,
 solves the floors of only the rows of largest bound and of those one
-quadratic-form pass cannot rule out, and picks as over all rows.  The
-scores depend only on the spectral projections, not on eigenvector
-phases, and only steer the greedy.  The engines read their scores as
+quadratic-form pass cannot rule out, and picks as over all rows; it solves
+those screened floors one row per call of LAPACK's secular root finder
+dlaed4, where the library has it, and an unscreened step's floors all at
+once by a vectorized numpy iteration.  The scores depend only on the
+spectral projections, not on eigenvector phases, and only steer the
+greedy.  The engines read their scores as
 quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
 a grid system built by fourier_system evaluates with one FFT.  The
 engines only select: they certify nothing, and the bounds of a built set
@@ -81,8 +84,10 @@ RATIO_SLACK = 1e-9
 # scores' sensitivity to eigenvalue rounding (see bss_select); without that
 # term the margins of an exact tie were seen 1.8e-12 of |U| + |L| apart.
 TIE_RTOL = 1e-12
-# Riesz secular solver: Gram eigenvalues this close (relative) to the
-# smallest share one pole, and the iteration cap (a few iterations is usual).
+# Riesz secular solvers: Gram eigenvalues this close (relative) to the
+# smallest (_riesz_floors), or to the next one below (_laed4_floors), share
+# one pole; and the vectorized solver's iteration cap (a few iterations is
+# usual).
 SECULAR_MERGE_RTOL = 1e-14
 SECULAR_MAX_ITER = 100
 # Rank-one eigen-updates of this order and above go through LAPACK's
@@ -98,13 +103,22 @@ RANK_MIN_N = 72
 # The Riesz greedy solves this many rows first, those of largest floor bound,
 # and screens the rest against the best of them (_rit_floors) once more than
 # twice as many rows are free and the free rows times the rank reach
-# RIT_WORK, the size of the secular solver's arrays.  Below either the screen
-# costs more than it saves: screening from 33 free rows on instead of 65 took
-# 1.16x the time at (m, n, d) = (64, 16, 0.5), and screening whatever the
-# array size 1.07x at (256, 32, 0.5) and (128, 32, 0.25), where the solver's
-# ~20 numpy calls per iteration cost about the same for all free rows as
-# for 32.
-RIT_BATCH = 32
+# RIT_WORK, the size of the vectorized secular solver's arrays.  Below the
+# work floor the screen costs more than it saves: screening whatever the
+# array size took 1.07x the time at (m, n, d) = (256, 32, 0.5) and
+# (128, 32, 0.25), where that solver's ~20 numpy calls per iteration cost
+# about the same for all free rows as for 32.  A screened row costs one
+# dlaed4 call, so the batch is half the 32 rows that suited the vectorized
+# solver.  rit_select's time against RIT_BATCH = 16 (in process, each request
+# timed under every batch in turn, BLAS on one thread; bessel-riesz's Riesz
+# requests of seeds 1-5 and the m = 2048 Riesz build of the CI):
+#
+#     RIT_BATCH          4     8     16    32
+#     (512, 64, 0.25)    1.03  0.94  1     1.05
+#     (256, 64, 0.25)    1.08  1.00  1     1.08
+#     (256, 32, 0.5)     0.96  0.94  1     0.99
+#     m = 2048 build     1.21  1.11  1     0.93
+RIT_BATCH = 16
 RIT_WORK = 2048
 
 
@@ -429,10 +443,11 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     from earlier steps.  Once the free rows are more than twice RIT_BATCH
     and, times the rank, reach RIT_WORK, _rit_floors solves only the
     RIT_BATCH rows of largest bound and the few that one quadratic-form pass
-    cannot rule out of the tie band; the pick is the same as over all
-    floors.  The m x m Gram is never formed.  The floor
-    (1-sqrt(1-d))^2 * n/m of the final Gram is checked by build_riesz, on
-    the bounds verify computes.
+    cannot rule out of the tie band, each by one call of LAPACK's dlaed4
+    (_laed4_floors; the vectorized solver where the library lacks it); the
+    pick is the same as over all floors.  The m x m Gram is never formed.
+    The floor (1-sqrt(1-d))^2 * n/m of the final Gram is checked by
+    build_riesz, on the bounds verify computes.
     """
     if not sys.parseval:
         raise NotParseval("rit_select requires a Parseval system")
@@ -478,15 +493,20 @@ def _rit_floors(
     0, i.e. a pick in the span of earlier ones.  The Gram of J shares A's r
     nonzero eigenvalues lam, and row i's secular weights on them are
     w2 = lam |U* v_i|^2.  stale holds an upper bound of every free row's
-    floor (-inf for picked rows); each solve starts from it, and the bounds
-    are tightened in place.
+    floor (-inf for picked rows); the vectorized solves start from it, and
+    every solve tightens the bounds in place.
 
-    With more than 2 RIT_BATCH free rows and at least RIT_WORK free rows
-    times r, the rows are screened.  The RIT_BATCH rows of largest bound
-    are solved first; let thr = best - TIE_RTOL |best|, the least floor of
-    the tie band or below it.  When every other row's bound is under thr,
-    no other row is solved.  Otherwise, with thr between 0 and lam_1, one
-    quadratic-form pass gives
+    Routes: without a screen every free row is solved at once by the
+    vectorized _riesz_floors, started at its bound.  With more than 2
+    RIT_BATCH free rows and at least RIT_WORK free rows times r, the rows
+    are screened, and each row the screen solves costs one dlaed4 call
+    (_laed4_floors), which needs no start; a BLAS without dlaed4, or a call
+    that reports INFO != 0, sends those rows to _riesz_floors instead.
+
+    The screen: the RIT_BATCH rows of largest bound are solved first; let
+    thr = best - TIE_RTOL |best|, the least floor of the tie band or below
+    it.  When every other row's bound is under thr, no other row is solved.
+    Otherwise, with thr between 0 and lam_1, one quadratic-form pass gives
     f_i(thr) = rho2_i - thr - v_i* N v_i, N = U diag(lam/(lam - thr)) U*, for
     every row.  A floor reaches thr exactly when f_i(thr) >= 0, f being
     decreasing below lam_1, so only rows with f_i(thr) >= -err are solved.
@@ -505,12 +525,14 @@ def _rit_floors(
     m = sys.m
     lam = state.lam[n - r :]
 
-    def solve(rows: np.ndarray) -> np.ndarray:
+    def solve(rows: np.ndarray, screened: bool = False) -> np.ndarray:
         z = basis @ vectors_c[rows].T  # conj(U* v_i)
         w2 = z.real**2
         w2 += z.imag**2
-        w2 *= lam[:, None]
-        floors = _riesz_floors(lam, w2, norm2[rows], stale[rows])
+        floors = _laed4_floors(lam, w2, norm2[rows]) if screened else None
+        if floors is None:
+            w2 *= lam[:, None]
+            floors = _riesz_floors(lam, w2, norm2[rows], stale[rows])
         stale[rows] = floors
         return floors
 
@@ -520,7 +542,7 @@ def _rit_floors(
     batch = np.argpartition(stale, m - RIT_BATCH)[m - RIT_BATCH :]
     # every row outside the batch is bounded by the batch's least bound
     bound = float(stale[batch].min())
-    best = solve(batch)
+    best = solve(batch, screened=True)
     floors = np.full(m, -np.inf)
     floors[batch] = best
     top = float(best.max())
@@ -548,8 +570,85 @@ def _rit_floors(
     rest &= stale > -np.inf
     rest = np.flatnonzero(rest)
     if rest.size:
-        floors[rest] = solve(rest)
+        floors[rest] = solve(rest, screened=True)
     return floors
+
+
+@functools.cache
+def _laed4_routine():
+    """LAPACK's dlaed4 from numpy's bundled OpenBLAS, or None."""
+    routine = _openblas_function("dlaed4_64_")
+    if routine is not None:
+        routine.argtypes = [ctypes.c_void_p] * 8
+        routine.restype = None
+    return routine
+
+
+def _laed4_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> Optional[np.ndarray]:
+    """Floors of c rows through LAPACK's dlaed4, one call per row, or None.
+
+    lam (r,) holds the nonzero eigenvalues of A = U diag(lam) U*, ascending,
+    w2 (r, c) the rows' |U* v_i|^2 and rho2 (c,) their squared norms, all
+    positive.  On the span of U and of v_i's residual p_i outside it,
+    A + v_i v_i* is diag(0, lam) + y y^T with y = (||p_i||, |U* v_i|),
+    ||p_i||^2 = rho2 - sum w2 (at least 0).  The Gram of the picks and row i
+    shares its nonzero eigenvalues and has floor 0 when p_i = 0, so the
+    floor is the first root of diag(0, lam) + ||y||^2 z z^T, z = y / ||y||:
+    the root that _riesz_floors finds, which dlaed4 computes by Li's middle
+    way in compiled code.  Before the call, as dlaed2 prepares dlaed4's,
+    poles within SECULAR_MERGE_RTOL of the one below share it (their weights
+    add in squares), and a weight with ||y|| |y_t| at most 8 eps times the
+    larger of lam_r and the rows' largest ||y||^2 deflates: its pole is then
+    an eigenvalue itself, so the floor is the least of it and the root of
+    the rest, and a row with no residual has floor 0.  Returns None, for the vectorized solver to take over, when
+    the library lacks dlaed4 or it reports INFO != 0 for a row.
+    """
+    laed4 = _laed4_routine()
+    if laed4 is None:
+        return None
+    r, c = w2.shape
+    poles = np.concatenate(([0.0], lam))
+    y2 = np.empty((c, r + 1))  # row i: ||p_i||^2, then |U* v_i|^2
+    y2[:, 1:] = w2.T
+    np.maximum(rho2 - w2.sum(axis=0), 0.0, out=y2[:, 0])
+    scale = max(float(lam[-1]), float(rho2.max()), np.finfo(float).tiny)
+    gaps = np.diff(poles) > SECULAR_MERGE_RTOL * scale
+    if not gaps.all():
+        starts = np.flatnonzero(np.concatenate(([True], gaps)))
+        poles, y2 = poles[starts], np.add.reduceat(y2, starts, axis=1)
+    size = poles.size
+    rho = y2.sum(axis=1)
+    tol = 8.0 * EPS * max(float(poles[-1]), float(rho.max()))
+    zero = y2 * rho[:, None] <= tol * tol
+    # one buffer for what the calls read and write: D, each row's Z, DELTA,
+    # each row's RHO and DLAM; then N, I = 1 (the first root) and INFO
+    buf = np.empty(size * (c + 2) + 2 * c)
+    buf[:size] = poles
+    z = buf[size : size * (c + 1)].reshape(c, size)
+    np.sqrt(np.divide(y2, rho[:, None], out=z), out=z)
+    buf[size * (c + 2) : size * (c + 2) + c] = rho
+    floors = buf[size * (c + 2) + c :]
+    ints = np.zeros(2 + c, dtype=np.int64)
+    ints[:2] = size, 1
+    D, N = buf.ctypes.data, ints.ctypes.data
+    I, INFO = N + 8, N + 16
+    DELTA, RHO = D + 8 * size * (c + 1), D + 8 * size * (c + 2)
+    DLAM, stride = RHO + 8 * c, 8 * size
+    deflated = zero.any(axis=1)
+    for i in np.flatnonzero(~deflated).tolist():
+        laed4(N, I, D, D + stride * (i + 1), DELTA, RHO + 8 * i, DLAM + 8 * i, INFO + 8 * i)
+    for i in np.flatnonzero(deflated).tolist():
+        keep = ~zero[i]
+        floors[i] = poles[zero[i]][0]  # the lowest deflated pole
+        if keep.any():
+            kept, part = poles[keep], y2[i, keep]
+            norm = np.array([part.sum()])
+            zi, root = np.sqrt(part / norm), np.empty(1)
+            ints[0] = kept.size
+            laed4(N, I, kept.ctypes.data, zi.ctypes.data, DELTA, norm.ctypes.data,
+                  root.ctypes.data, INFO + 8 * i)
+            floors[i] = min(floors[i], root[0])
+    return None if ints[2:].any() else floors
 
 
 def _riesz_floors(

@@ -53,18 +53,25 @@ class IntervalSet:
         return sum(hi - lo for lo, hi in self.intervals) / TWO_PI
 
 
-def _subset(m, residues, error: type[Exception]) -> tuple[int, tuple[int, ...]]:
-    """(m, sorted residues) as ints; error if they break GridSpectrum's rule."""
+def _integer(x, error: type[Exception]) -> int:
+    """x as an int: integers (numpy's included) only, never bools or floats."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise error(f"{x!r} is not an integer")
+    return int(x)
 
-    def integer(x) -> int:
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise error(f"{x!r} is not an integer")
-        return int(x)
 
-    m = integer(m)
-    res = tuple(sorted(integer(r) for r in residues))
+def _grid_order(m, error: type[Exception] = SpectrumFormatError) -> int:
+    """A grid order m as an int; error unless it is an integer of at least 1."""
+    m = _integer(m, error)
     if m < 1:
         raise error("m must be positive")
+    return m
+
+
+def _subset(m, residues, error: type[Exception]) -> tuple[int, tuple[int, ...]]:
+    """(m, sorted residues) as ints; error if they break GridSpectrum's rule."""
+    m = _grid_order(m, error)
+    res = tuple(sorted(_integer(r, error) for r in residues))
     if not res:
         raise error("residue set must be nonempty")
     if len(set(res)) != len(res):
@@ -152,10 +159,11 @@ def quantize_inner(s: IntervalSet, m: int) -> GridSpectrum:
     """Residues of all order-m cells fully contained in s (inner approximation).
 
     Containment is closure-inclusive within CELL_TOL, so dyadic interval
-    endpoints that coincide with cell boundaries count as inside.
+    endpoints that coincide with cell boundaries count as inside.  m obeys
+    GridSpectrum's rule for its order; anything else raises
+    SpectrumFormatError.
     """
-    if m < 1:
-        raise SpectrumFormatError("grid order m must be positive")
+    m = _grid_order(m)
     inside = []
     for r in range(m):
         a, b = _cell_bounds(m, r)
@@ -171,9 +179,9 @@ def quantize_outer(s: IntervalSet, m: int) -> GridSpectrum:
 
     The intersection threshold is CELL_TOL, shrunk for intervals close to
     the tolerance scale so every interval contributes at least one cell.
+    m obeys GridSpectrum's rule for its order, as in quantize_inner.
     """
-    if m < 1:
-        raise SpectrumFormatError("grid order m must be positive")
+    m = _grid_order(m)
     hit = set()
     for lo, hi in s.intervals:
         thresh = min(CELL_TOL, 0.25 * (hi - lo))

@@ -364,6 +364,25 @@ class TestExhaustGeneral:
         with pytest.raises(SpectrumFormatError):
             ef.exhaust_general(s, 1.0, ())
 
+    @pytest.mark.parametrize(
+        "schedule", [(8.9,), (8.0,), (True, 8), (8, 16.0), (8, "16"), (0, 8)]
+    )
+    def test_refuses_orders_that_are_not_integers(self, schedule, monkeypatch):
+        # (8.9,) built a stage at m = 8 and (True, 8) one at m = 1; every order
+        # is checked before the first stage is built
+        built = []
+        monkeypatch.setattr(construct, "build_sampling", lambda g, d: built.append(g))
+        s = ef.IntervalSet(((0.0, math.pi),))
+        with pytest.raises(SpectrumFormatError):
+            ef.exhaust_general(s, 1.0, schedule)
+        assert built == []
+
+    def test_accepts_numpy_integer_orders(self):
+        s = ef.IntervalSet(((0.0, math.pi),))
+        stages = ef.exhaust_general(s, 1.0, (np.int64(8), np.int32(16)))
+        assert [st.report.spectrum.m for st in stages] == [8, 16]
+        assert all(type(st.report.spectrum.m) is int for st in stages)
+
 
 class TestSerialization:
     def test_report_round_trip_deterministic(self):

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import itertools
 import math
@@ -934,11 +935,14 @@ def rank_one_input(rng, n, kind, lam_scale, w_scale):
 @pytest.fixture
 def laed_unavailable(monkeypatch):
     """The OpenBLAS lookup finds nothing, as on a numpy without its bundled copy."""
-    selection._laed_routines.cache_clear()
+    lookups = (selection._laed_routines, selection._laed4_routine)
+    for lookup in lookups:
+        lookup.cache_clear()
     monkeypatch.setattr(selection, "_openblas_function", lambda name: None)
     yield
     monkeypatch.undo()
-    selection._laed_routines.cache_clear()
+    for lookup in lookups:
+        lookup.cache_clear()
 
 
 def needs_laed():
@@ -1108,6 +1112,47 @@ TIE_CELLS = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15)
 TIE_D = 0.6066665557516873
 
 
+def has_laed4():
+    return selection._laed4_routine() is not None
+
+
+def count_floor_routes(monkeypatch):
+    """Per step of rit_select, rows solved by each floor route and dlaed4 calls.
+
+    "laed4" counts the rows _laed4_floors solved (None, the fallback, counts
+    none), "calls" the dlaed4 calls and "vectorized" the rows _riesz_floors
+    solved.
+    """
+    routes = {key: collections.Counter() for key in ("laed4", "calls", "vectorized")}
+    now = [0]
+    rit_floors, riesz_floors = selection._rit_floors, selection._riesz_floors
+    laed4_floors, laed4 = selection._laed4_floors, selection._laed4_routine()
+
+    def at_step(state, step, *args):
+        now[0] = step
+        return rit_floors(state, step, *args)
+
+    def vectorized(lam, w2, rho2, start=None):
+        routes["vectorized"][now[0]] += w2.shape[1]
+        return riesz_floors(lam, w2, rho2, start)
+
+    def through_laed4(lam, w2, rho2):
+        out = laed4_floors(lam, w2, rho2)
+        routes["laed4"][now[0]] += 0 if out is None else w2.shape[1]
+        return out
+
+    def call(*args):
+        routes["calls"][now[0]] += 1
+        return laed4(*args)
+
+    monkeypatch.setattr(selection, "_rit_floors", at_step)
+    monkeypatch.setattr(selection, "_riesz_floors", vectorized)
+    monkeypatch.setattr(selection, "_laed4_floors", through_laed4)
+    if laed4 is not None:
+        monkeypatch.setattr(selection, "_laed4_routine", lambda: call)
+    return routes
+
+
 # (RIT_BATCH, RIT_WORK): a batch of 1 or 2 with no work floor screens every
 # step of these small systems that has more than 2 or 4 free rows; the
 # defaults screen only the later steps at m = 128
@@ -1132,11 +1177,25 @@ class TestRitScreen:
     def test_exact_tie_at_the_smallest_pole(self, monkeypatch, batch, work):
         monkeypatch.setattr(selection, "RIT_BATCH", batch)
         monkeypatch.setattr(selection, "RIT_WORK", work)
+        routes = count_floor_routes(monkeypatch)
         sys = fourier_system(ef.GridSpectrum(16, TIE_CELLS))
         log = ef.rit_select(sys, TIE_D).barrier_log
         assert [step.index for step in log] == eager_rit_picks(sys, TIE_D) == [0, 2, 1, 3, 4, 6]
         assert math.isclose(log[3].l, 0.75, rel_tol=1e-14)
         assert math.isclose(log[2].lam_min, 0.75, rel_tol=1e-14)
+        # the screened settings solve through dlaed4; at the defaults no
+        # step of m = 16 is screened
+        assert (sum(routes["laed4"].values()) > 0) == (work == 0 and has_laed4())
+
+    @pytest.mark.parametrize("m,n,d", [(512, 64, 0.25), (256, 64, 0.25), (256, 32, 0.5)])
+    def test_benchmark_sizes_match_eager_loop(self, m, n, d):
+        # the Riesz sizes of the bessel-riesz workload, under the default screen
+        for seed in (1, 2):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(103, seed, m, n)))
+            cells = tuple(sorted(int(c) for c in rng.choice(m, n, replace=False)))
+            sys = fourier_system(ef.GridSpectrum(m, cells))
+            got = [step.index for step in ef.rit_select(sys, d).barrier_log]
+            assert got == eager_rit_picks(sys, d)
 
     @pytest.mark.parametrize("batch,work", SCREENS[::2])
     def test_orthogonal_rows(self, monkeypatch, batch, work):
@@ -1150,21 +1209,29 @@ class TestRitScreen:
 
     def test_screen_solves_few_rows(self, monkeypatch):
         # the bessel-riesz request (512, 64, 0.25): the floors solved are a
-        # small share of the free rows summed over the steps
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, 512, 64)))
-        sys = fourier_system(ef.GridSpectrum(512, tuple(sorted(rng.choice(512, 64, replace=False)))))
-        columns = []
-        floors = selection._riesz_floors
-
-        def counting(lam, w2, rho2, start=None):
-            columns.append(w2.shape[1])
-            return floors(lam, w2, rho2, start)
-
-        monkeypatch.setattr(selection, "_riesz_floors", counting)
+        # small share of the free rows summed over the steps; a screened step
+        # solves its rows through dlaed4, one call per row, and an unscreened
+        # step solves every free row through the vectorized solver
+        needs_laed()
+        m = 512
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, m, 64)))
+        sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, 64, replace=False)))))
+        routes = count_floor_routes(monkeypatch)
         log = ef.rit_select(sys, 0.25).barrier_log
-        free = sum(512 - step for step in range(1, len(log)))
         assert len(log) == 48
-        assert sum(columns) < 0.25 * free
+        steps = range(1, len(log))  # the rank of the picks' sum is the step
+        screened = [s for s in steps if m - s > 2 * selection.RIT_BATCH
+                    and (m - s) * s >= selection.RIT_WORK]
+        assert 0 < len(screened) < len(steps)
+        for s in steps:
+            if s in screened:
+                assert routes["vectorized"][s] == 0
+                assert routes["calls"][s] == routes["laed4"][s] >= selection.RIT_BATCH
+            else:
+                assert routes["laed4"][s] == routes["calls"][s] == 0
+                assert routes["vectorized"][s] == m - s
+        solved = sum(routes["laed4"].values()) + sum(routes["vectorized"].values())
+        assert solved < 0.25 * sum(m - s for s in steps)
 
     def test_warm_start_keeps_the_floors(self):
         # floors of a smaller selection bound the floors of a larger one
@@ -1185,6 +1252,125 @@ class TestRitScreen:
         assert np.abs(warm - cold).max() <= 1e-15
         for i, f in zip(free, warm):
             assert abs(f - oracle_riesz_floor(sys, chosen, i)) <= 1e-12
+
+
+def laed4_floors(sys, chosen, free):
+    """The dlaed4 route's floors of the free rows, from the engine's range state."""
+    state = selection._EigState(sys, _range_only=True)
+    for i in chosen:
+        state.add(sys.vectors[i], 1.0)
+    r = state.vecs.shape[1]
+    w2 = np.abs(state.vecs.T @ sys.vectors[free].conj().T) ** 2
+    norm2 = np.sum(np.abs(sys.vectors[free]) ** 2, axis=1)
+    floors = selection._laed4_floors(state.lam[sys.n - r :], w2, norm2)
+    assert floors is not None
+    return floors
+
+
+def assert_oracle_floors(sys, chosen, free, floors):
+    for i, f in zip(free, floors):
+        assert abs(f - oracle_riesz_floor(sys, chosen, i)) <= 1e-12
+
+
+class TestLaed4Floors:
+    """The screened steps' solver, one dlaed4 call per row, against eigvalsh."""
+
+    @pytest.fixture(autouse=True)
+    def laed4(self):
+        if not has_laed4():
+            pytest.skip("the BLAS has no dlaed4")
+
+    def test_rows_in_the_span_and_orthogonal_rows(self):
+        # two copies of a scaled basis, rows 0 and 1 picked: rows 3 and 4 lie
+        # in their span (no residual, floor 0), rows 2 and 5 are orthogonal to
+        # both (every weight on lam deflates; the floor is min(lam_1, rho2))
+        sys = ef.VectorSystem(np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0))
+        free = [2, 3, 4, 5]
+        with np.errstate(all="raise"):
+            floors = laed4_floors(sys, [0, 1], free)
+        assert floors[1] == floors[2] == 0.0
+        assert np.allclose(floors[[0, 3]], 0.5, rtol=1e-15, atol=0.0)
+        assert_oracle_floors(sys, [0, 1], free, floors)
+
+    def test_full_rank_picks_leave_floor_zero(self):
+        # n rows in general position span C^n: every free row is in the span
+        sys = fourier_system(ef.GridSpectrum(16, (1, 4, 6, 11)))
+        chosen, free = [0, 3, 5, 9], [i for i in range(16) if i not in (0, 3, 5, 9)]
+        with np.errstate(all="raise"):  # rho2 - sum w2 rounds below 0 here
+            floors = laed4_floors(sys, chosen, free)
+        assert np.all(floors >= 0.0)
+        assert_oracle_floors(sys, chosen, free, floors)
+
+    def test_coincident_poles_at_the_tie(self):
+        # after the tie system's first three picks rows 3 and 7 both have
+        # floor lam_1 = 0.75 exactly: their weight on that pole deflates
+        sys = fourier_system(ef.GridSpectrum(16, TIE_CELLS))
+        chosen = [0, 2, 1]
+        free = [i for i in range(16) if i not in chosen]
+        floors = laed4_floors(sys, chosen, free)
+        assert_oracle_floors(sys, chosen, free, floors)
+        for i in (3, 7):
+            assert math.isclose(floors[free.index(i)], 0.75, rel_tol=1e-14)
+
+    def test_repeated_poles_are_merged(self, monkeypatch):
+        # every eighth row over cells 0..11 of m = 32: the picks' sum has
+        # eigenvalues 0.25 and 0.5, four times each, and dlaed4 wants
+        # strictly increasing poles, so each repeated one is merged first
+        laed4, orders = selection._laed4_routine(), []
+
+        def checking(n, i, d, *rest):
+            order = ctypes.c_int64.from_address(n).value
+            poles = np.ctypeslib.as_array((ctypes.c_double * order).from_address(d))
+            assert np.all(np.diff(poles) > 0.0)
+            orders.append(order)
+            return laed4(n, i, d, *rest)
+
+        monkeypatch.setattr(selection, "_laed4_routine", lambda: checking)
+        sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
+        chosen = list(range(0, 32, 4))
+        free = [i for i in range(32) if i not in chosen]
+        assert_oracle_floors(sys, chosen, free, laed4_floors(sys, chosen, free))
+        assert len(orders) == len(free) and max(orders) == 3  # poles 0, 0.25, 0.5
+
+    def test_clustered_poles(self):
+        sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
+        chosen = list(range(8))
+        free = [i for i in range(32) if i not in chosen]
+        assert_oracle_floors(sys, chosen, free, laed4_floors(sys, chosen, free))
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_seeded_selections(self, i):
+        sys = seeded_fourier(i, (32, 64)[i % 2])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(107, i)))
+        chosen = [int(c) for c in rng.choice(sys.m, int(rng.integers(1, sys.n + 1)), replace=False)]
+        free = [j for j in range(sys.m) if j not in chosen]
+        assert_oracle_floors(sys, chosen, free, laed4_floors(sys, chosen, free))
+
+    def test_info_nonzero_takes_the_vectorized_solve(self, monkeypatch):
+        def info_one(*args):  # INFO is the last argument
+            ctypes.c_int64.from_address(args[-1]).value = 1
+
+        sys = fourier_system(ef.GridSpectrum(128, tuple(range(0, 128, 5))))
+        expected = eager_rit_picks(sys, 0.25)
+        monkeypatch.setattr(selection, "_laed4_routine", lambda: info_one)
+        routes = count_floor_routes(monkeypatch)
+        monkeypatch.setattr(selection, "RIT_WORK", 0)
+        assert [step.index for step in ef.rit_select(sys, 0.25).barrier_log] == expected
+        assert sum(routes["laed4"].values()) == 0
+        assert sum(routes["calls"].values()) > 0
+
+
+def test_no_laed4_takes_the_vectorized_solve(laed_unavailable, monkeypatch):
+    # a BLAS without dlaed4: every screened solve falls back, same picks
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, 512, 64)))
+    sys = fourier_system(ef.GridSpectrum(512, tuple(sorted(rng.choice(512, 64, replace=False)))))
+    assert selection._laed4_routine() is None
+    expected = eager_rit_picks(sys, 0.25)
+    routes = count_floor_routes(monkeypatch)
+    got = [step.index for step in ef.rit_select(sys, 0.25).barrier_log]
+    assert got == expected
+    assert sum(routes["laed4"].values()) == sum(routes["calls"].values()) == 0
+    assert sum(routes["vectorized"].values()) < 0.25 * sum(512 - s for s in range(1, len(got)))
 
 
 class TestRitSize:

@@ -106,6 +106,34 @@ class TestSubsetsOfZm:
         assert str(grid.value) == str(periodic.value)
 
 
+BAD_ORDERS = [
+    pytest.param(8.0, id="integral-float"),
+    pytest.param(8.9, id="float"),
+    pytest.param(True, id="bool"),
+    pytest.param("8", id="str"),
+    pytest.param(0, id="zero"),
+    pytest.param(-4, id="negative"),
+]
+
+
+class TestGridOrders:
+    """quantize_inner and quantize_outer take m by GridSpectrum's rule for m."""
+
+    @pytest.mark.parametrize("quantize", [ef.quantize_inner, ef.quantize_outer])
+    @pytest.mark.parametrize("m", BAD_ORDERS)
+    def test_refuses(self, quantize, m):
+        # a float was a bare TypeError from range(); never truncated
+        with pytest.raises(SpectrumFormatError):
+            quantize(ef.IntervalSet(((0.0, math.pi),)), m)
+
+    @pytest.mark.parametrize("quantize", [ef.quantize_inner, ef.quantize_outer])
+    def test_accepts_numpy_integers(self, quantize):
+        s = ef.IntervalSet(((0.0, math.pi),))
+        for m in (np.int64(8), np.int32(8), np.uint16(8)):
+            g = quantize(s, m)
+            assert g == quantize(s, 8) and type(g.m) is int
+
+
 class TestQuantizeInner:
     def test_full_circle(self):
         s = ef.IntervalSet(((0.0, TWO_PI),))
