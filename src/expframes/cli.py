@@ -14,9 +14,10 @@ any thread starts: a fork from a process with other threads can copy a
 lock another thread holds.  Where fork is not available, or the caller
 already runs other threads, the points are built one after another on the
 calling thread, as with --jobs 1.  Every command runs with numpy's bundled
-OpenBLAS on one thread (main restores the caller's setting afterwards),
-and rows are sorted, so the output depends neither on N nor on
-OPENBLAS_NUM_THREADS.
+OpenBLAS on one thread, set through the thread-count routines of
+linalg._openblas_routines (main restores the caller's setting afterwards;
+with another BLAS nothing is pinned), and rows are sorted, so the output
+depends neither on N nor on OPENBLAS_NUM_THREADS.
 
 ``exhaust`` takes --d only in sampling mode, where it defaults to 1.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import functools
 import json
 import sys
@@ -39,7 +39,7 @@ import numpy as np
 from . import construct as cons
 from . import verify as ver
 from .errors import CertificateFailed, ExpframesError, NoFeasibleCandidate
-from .linalg import _openblas_function
+from .linalg import _openblas_routines
 from .spectrum import GridSpectrum, SamplingSet, parse_spectrum, quantize_inner
 
 CSV_VERSION = "expframes-csv v1"
@@ -218,20 +218,9 @@ def _init_worker() -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _, set_threads = _blas_threads()
-    set_threads(1)
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) thread count of numpy's bundled OpenBLAS; no-ops for another BLAS."""
-    get = _openblas_function("openblas_get_num_threads64_")
-    set_ = _openblas_function("openblas_set_num_threads64_")
-    if get is None or set_ is None:
-        return (lambda: 1), (lambda count: None)
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    routines = _openblas_routines()
+    if routines is not None:
+        routines["openblas_set_num_threads64_"](1)
 
 
 @contextlib.contextmanager
@@ -242,8 +231,12 @@ def _one_blas_thread():
     dlaed3 among them, can round differently on more threads, and a
     report's bytes must not depend on the caller's thread count.
     """
-    get_threads, set_threads = _blas_threads()
-    threads = get_threads()
+    routines = _openblas_routines()
+    if routines is None:  # another BLAS: nothing to pin
+        yield
+        return
+    set_threads = routines["openblas_set_num_threads64_"]
+    threads = routines["openblas_get_num_threads64_"]()
     set_threads(1)
     try:
         yield

@@ -6,20 +6,27 @@ rank-one updates, which removes a whole class of drift bugs from the
 certified numbers; expframes.verify is the one place that computes them.
 Rank-one updates are used only for scoring: each greedy loop carries the
 decomposition of its running sum from step to step by one real
-diagonal-plus-rank-one solve per term (LAPACK's dlaed2/dlaed3 from numpy's
-bundled OpenBLAS, found through _openblas_function, or a dense eigh), and
-ranks its candidates in closed form from that decomposition.  The
+diagonal-plus-rank-one solve per term (LAPACK's dlaed2/dlaed3, or a dense
+eigh), and ranks its candidates in closed form from that decomposition.  The
 engines make no hermitian_eig call: the Riesz selection is sized from the
 Parseval property, not from a decomposition.  Every reader of an
 eigendecomposition here depends on eigenvalues or spectral projections
 only, so no eigenvector phase is fixed anywhere.
+
+_openblas_routines is the package's one way into numpy's bundled OpenBLAS:
+it returns, typed, the rank-one merge dlaed2/dlaed3 and the secular root
+finder dlaed4 that the engines call, and the get/set thread-count routines
+with which the CLI runs BLAS on one thread; or None, and every caller then
+takes its numpy route.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -35,35 +42,50 @@ def _index_array(indices) -> np.ndarray:
     return np.fromiter(indices, dtype=np.int64)
 
 
-@functools.cache
+# The routines the package calls from numpy's bundled OpenBLAS: name, then
+# argument types and result type.  The LAPACK ones take every argument by
+# reference.  The library has 64-bit integers, so each symbol carries a 64_
+# suffix ("dlaed2_64_", "openblas_set_num_threads64_"); numpy 2's
+# scipy-openblas builds also prefix it with "scipy_".
+_OPENBLAS_SIGNATURES = {
+    "dlaed2_64_": ([ctypes.c_void_p] * 17, None),
+    "dlaed3_64_": ([ctypes.c_void_p] * 14, None),
+    "dlaed4_64_": ([ctypes.c_void_p] * 8, None),
+    "openblas_get_num_threads64_": ([], ctypes.c_int),
+    "openblas_set_num_threads64_": ([ctypes.c_int], None),
+}
+
+
 def _openblas_library():
     """numpy's bundled OpenBLAS through ctypes, or None without one.
 
     numpy's Linux wheels ship it as numpy.libs/*openblas*; the process has
-    already loaded it, so this is the copy numpy itself calls.  Loaded on
-    first use, so importing the package does not pay for it.
+    already loaded it, so this is the copy numpy itself calls.
     """
-    import ctypes
-
     for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         return ctypes.CDLL(str(path))
     return None
 
 
-def _openblas_function(name: str):
-    """Function name of numpy's bundled OpenBLAS, or None if it has none.
+@functools.cache
+def _openblas_routines() -> Optional[dict]:
+    """Every routine of _OPENBLAS_SIGNATURES, typed and keyed by its name.
 
-    The bundled library has 64-bit integers, and its symbols carry a 64_
-    suffix ("dlaed2_64_", "openblas_set_num_threads64_"), which name
-    includes; the scipy-openblas builds also prefix them with "scipy_".
-    The caller declares argtypes and restype.
+    None when numpy carries no bundled OpenBLAS or the library lacks any
+    one of them; the callers then take their numpy routes.  Looked up on
+    first use, so importing the package does not pay for it.
     """
     lib = _openblas_library()
-    if lib is not None:
-        for symbol in ("scipy_" + name, name):
-            if hasattr(lib, symbol):
-                return getattr(lib, symbol)
-    return None
+    if lib is None:
+        return None
+    routines = {}
+    for name, (argtypes, restype) in _OPENBLAS_SIGNATURES.items():
+        routine = getattr(lib, "scipy_" + name, None) or getattr(lib, name, None)
+        if routine is None:
+            return None
+        routine.argtypes, routine.restype = argtypes, restype
+        routines[name] = routine
+    return routines
 
 
 def dft_submatrix(m: int, row_set, col_set) -> np.ndarray:

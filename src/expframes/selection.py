@@ -25,7 +25,7 @@ three engines add one rank-one term per step to one eigen-state of the
 running sum A (_EigState) instead of decomposing A: the update is a real
 diagonal-plus-rank-one eigenproblem, solved by LAPACK's rank-one merge
 (dlaed2/dlaed3, secular equation and Gu-Eisenstat eigenvectors) from order
-LAED_MIN_N on where numpy's bundled OpenBLAS exports it, else by one dense
+LAED_MIN_N on where linalg._openblas_routines finds it, else by one dense
 real eigh; a range state's first term, into A = 0, is closed form.  While
 A has rank r < n, the state of the two-sided and upper engines from
 n = RANK_MIN_N on, and the Riesz engine's at every n, holds only an n x r
@@ -35,7 +35,7 @@ O(n^3).  The Riesz engine reads its Gram's eigenvalues from that range,
 solves the floors of only the rows of largest bound and of those one
 quadratic-form pass cannot rule out, and picks as over all rows; it solves
 those screened floors one row per call of LAPACK's secular root finder
-dlaed4, where the library has it, and an unscreened step's floors all at
+dlaed4, from the same lookup, and an unscreened step's floors all at
 once by a vectorized numpy iteration.  The scores depend only on the
 spectral projections, not on eigenvector phases, and only steer the
 greedy.  The engines read their scores as
@@ -48,8 +48,6 @@ brute_force_best is the exhaustive oracle for small instances.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,7 +63,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
-from .linalg import _openblas_function, dft_submatrix
+from .linalg import _openblas_routines, dft_submatrix
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
@@ -444,7 +442,7 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     and, times the rank, reach RIT_WORK, _rit_floors solves only the
     RIT_BATCH rows of largest bound and the few that one quadratic-form pass
     cannot rule out of the tie band, each by one call of LAPACK's dlaed4
-    (_laed4_floors; the vectorized solver where the library lacks it); the
+    (_laed4_floors; the vectorized solver where there is no OpenBLAS); the
     pick is the same as over all floors.  The m x m Gram is never formed.
     The floor (1-sqrt(1-d))^2 * n/m of the final Gram is checked by
     build_riesz, on the bounds verify computes.
@@ -574,16 +572,6 @@ def _rit_floors(
     return floors
 
 
-@functools.cache
-def _laed4_routine():
-    """LAPACK's dlaed4 from numpy's bundled OpenBLAS, or None."""
-    routine = _openblas_function("dlaed4_64_")
-    if routine is not None:
-        routine.argtypes = [ctypes.c_void_p] * 8
-        routine.restype = None
-    return routine
-
-
 def _laed4_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> Optional[np.ndarray]:
     """Floors of c rows through LAPACK's dlaed4, one call per row, or None.
 
@@ -600,12 +588,14 @@ def _laed4_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> Optional
     add in squares), and a weight with ||y|| |y_t| at most 8 eps times the
     larger of lam_r and the rows' largest ||y||^2 deflates: its pole is then
     an eigenvalue itself, so the floor is the least of it and the root of
-    the rest, and a row with no residual has floor 0.  Returns None, for the vectorized solver to take over, when
-    the library lacks dlaed4 or it reports INFO != 0 for a row.
+    the rest, and a row with no residual has floor 0.  Returns None, for
+    the vectorized solver to take over, when _openblas_routines finds no
+    library or dlaed4 reports INFO != 0 for a row.
     """
-    laed4 = _laed4_routine()
-    if laed4 is None:
+    routines = _openblas_routines()
+    if routines is None:
         return None
+    laed4 = routines["dlaed4_64_"]
     r, c = w2.shape
     poles = np.concatenate(([0.0], lam))
     y2 = np.empty((c, r + 1))  # row i: ||p_i||^2, then |U* v_i|^2
@@ -929,18 +919,6 @@ def _dense_eigh(lam: np.ndarray, w: np.ndarray):
     return np.linalg.eigh(middle)
 
 
-@functools.cache
-def _laed_routines():
-    """LAPACK's dlaed2 and dlaed3 from numpy's bundled OpenBLAS, or None."""
-    routines = (_openblas_function("dlaed2_64_"), _openblas_function("dlaed3_64_"))
-    if None in routines:
-        return None
-    for routine, nargs in zip(routines, (17, 14)):
-        routine.argtypes = [ctypes.c_void_p] * nargs
-        routine.restype = None
-    return routines
-
-
 def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     """diag(lam) + w w^T through LAPACK's rank-one merge, or None.
 
@@ -955,8 +933,8 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     deflation tolerance is absolute.  The eigenvalues come back in two
     ascending runs (kept, then deflated) and are sorted with their vectors.
 
-    Returns None, for the dense route to take over, when the library lacks
-    the routines, n < 2, w is zero or not finite, or LAPACK reports
+    Returns None, for the dense route to take over, when _openblas_routines
+    finds no library, n < 2, w is zero or not finite, or LAPACK reports
     INFO != 0.  The workspace is allocated per call, so concurrent calls
     share nothing.
     """
@@ -964,10 +942,10 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     norm2 = float(w @ w)
     if n < 2 or not 0.0 < norm2 < math.inf:
         return None
-    routines = _laed_routines()
+    routines = _openblas_routines()
     if routines is None:
         return None
-    laed2, laed3 = routines
+    laed2, laed3 = routines["dlaed2_64_"], routines["dlaed3_64_"]
     n1, nn = n // 2, n * n
     scale = math.ldexp(1.0, -math.frexp(max(-float(lam[0]), float(lam[-1]), norm2))[1])
     # floats: Q = I, Q2, S (n x n each), then D, Z, DLAMDA, W (n each), RHO;

@@ -21,6 +21,7 @@ from expframes import cli, verify
 from expframes.cli import _build_parser, main
 from expframes.errors import CertificateFailed
 from expframes.selection import lower_certificate_constant
+from test_linalg import openblas_loading
 
 
 class _ForkLog:
@@ -341,6 +342,34 @@ class TestBlasThreads:
         finally:
             _openblas("set", threads)
         assert seen == [1]
+
+    SPAN = '{"intervals":[[0.3,0.9],[2.0,2.5]]}'
+    # every command, each engine above LAED_MIN_N and the Riesz screen included
+    WITHOUT_OPENBLAS = (
+        ("construct", "--spectrum", SPAN, "--m", "256", "--d", "1"),
+        ("construct", "--spectrum", SPAN, "--m", "256", "--mode", "bessel"),
+        ("construct", "--spectrum", SPAN, "--m", "256", "--mode", "riesz", "--d", "0.25"),
+        ("verify", "--spectrum", '{"m":16,"cells":[0,1,2,3]}', "--residues", "0,4,8,12"),
+        ("duality", "--spectrum", '{"m":4,"cells":[0,1]}', "--residues", "0,2"),
+        ("exhaust", "--spectrum", SPAN, "--schedule", "64,128"),
+    )
+
+    def test_commands_run_without_openblas(self, capsys, forks):
+        # the lookup finds no library: the engines take their numpy routes
+        # and nothing pins, or restores, the real library's threads
+        threads = _openblas("get")
+        if threads is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        _openblas("set", 2)
+        try:
+            with openblas_loading(None):
+                for argv in (*self.WITHOUT_OPENBLAS, (*TestSweep.ARGS, "--jobs", "2")):
+                    code, out, err = run_cli(capsys, *argv)
+                    assert (code, err) == (0, ""), argv
+                    assert out and _openblas("get") == 2, argv
+            assert len(forks) == 2  # the sweep's workers started without a pin
+        finally:
+            _openblas("set", threads)
 
 
 class TestNoAbbreviations:

@@ -3,7 +3,8 @@
 errors <- spectrum, linalg <- selection, verify <- construct <- cli: a module
 imports only modules of a lower rank, at module level, inside a function or
 under TYPE_CHECKING alike.  In particular verify, the one certifier, imports
-no builder.
+no builder.  Only linalg imports ctypes: it holds the one lookup of numpy's
+bundled OpenBLAS.
 """
 
 import ast
@@ -58,3 +59,21 @@ def test_imports_only_lower_ranks(module):
         name for name in package_imports(PACKAGE / f"{module}.py") if RANK[name] >= RANK[module]
     }
     assert not above, f"{module} imports {sorted(above)} from its own rank or above"
+
+
+def imports_ctypes(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "ctypes" for name in names):
+            return True
+    return False
+
+
+def test_only_linalg_imports_ctypes():
+    # linalg._openblas_routines is the one way into numpy's bundled OpenBLAS
+    assert [p.stem for p in sorted(PACKAGE.glob("*.py")) if imports_ctypes(p)] == ["linalg"]

@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expframes as ef
+from expframes import linalg
 from expframes.errors import NotHermitian
 
 
@@ -174,3 +177,55 @@ class TestResolventQuadratics:
             resolvent_quadratics(np.diag([1.0, 2.0]), 1.5, np.array([1.0, 0.0]))
         with pytest.raises(ShiftInsideSpectrum):
             resolvent_quadratics(np.zeros((2, 2)), 0.0, np.array([1.0, 0.0]))
+
+
+@contextlib.contextmanager
+def openblas_loading(lib):
+    """Run the body with the OpenBLAS lookup redone on lib (None: no library).
+
+    The lookup's cache is cleared on entry and on exit, so the body sees a
+    lookup of lib and later callers one of numpy's own library again.
+    """
+    linalg._openblas_routines.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_openblas_library", lambda: lib)
+            yield
+    finally:
+        linalg._openblas_routines.cache_clear()
+
+
+OPENBLAS_NAMES = tuple(linalg._OPENBLAS_SIGNATURES)
+# numpy 2 wheels bundle scipy-openblas, which prefixes every symbol;
+# numpy 1 wheels export the bare 64_-suffixed names
+WHEEL_PREFIXES = pytest.mark.parametrize("prefix", ["scipy_", ""], ids=["numpy2", "numpy1"])
+
+
+def fake_openblas(symbols):
+    """A library object exporting each symbol as a routine that records its name."""
+    return types.SimpleNamespace(**{s: types.SimpleNamespace(symbol=s) for s in symbols})
+
+
+class TestOpenblasLookup:
+    """linalg._openblas_routines on a stand-in library, offline."""
+
+    @WHEEL_PREFIXES
+    def test_every_routine_resolves_and_is_typed(self, prefix):
+        with openblas_loading(fake_openblas(prefix + name for name in OPENBLAS_NAMES)):
+            routines = linalg._openblas_routines()
+        assert routines is not None and tuple(routines) == OPENBLAS_NAMES
+        for name, (argtypes, restype) in linalg._OPENBLAS_SIGNATURES.items():
+            routine = routines[name]
+            assert routine.symbol == prefix + name
+            assert routine.argtypes == argtypes and routine.restype is restype
+
+    @WHEEL_PREFIXES
+    @pytest.mark.parametrize("missing", OPENBLAS_NAMES)
+    def test_a_missing_routine_gives_none(self, prefix, missing):
+        lib = fake_openblas(prefix + name for name in OPENBLAS_NAMES if name != missing)
+        with openblas_loading(lib):
+            assert linalg._openblas_routines() is None
+
+    def test_no_library_gives_none(self):
+        with openblas_loading(None):
+            assert linalg._openblas_routines() is None

@@ -19,7 +19,7 @@ from expframes.errors import (
     NotParseval,
     TooManySubsets,
 )
-from test_linalg import resolvent_quadratics
+from test_linalg import openblas_loading, resolvent_quadratics
 
 
 def fresh_spectrum(sys, res):
@@ -933,21 +933,23 @@ def rank_one_input(rng, n, kind, lam_scale, w_scale):
 
 
 @pytest.fixture
-def laed_unavailable(monkeypatch):
+def laed_unavailable():
     """The OpenBLAS lookup finds nothing, as on a numpy without its bundled copy."""
-    lookups = (selection._laed_routines, selection._laed4_routine)
-    for lookup in lookups:
-        lookup.cache_clear()
-    monkeypatch.setattr(selection, "_openblas_function", lambda name: None)
-    yield
-    monkeypatch.undo()
-    for lookup in lookups:
-        lookup.cache_clear()
+    with openblas_loading(None):
+        yield
 
 
-def needs_laed():
+def openblas_routines():
+    """The OpenBLAS lookup's routines; skips the test when numpy bundles no OpenBLAS.
+
+    A bundled library whose routines the lookup does not find fails the
+    test instead: the engines would silently take their numpy routes.
+    """
     if linalg._openblas_library() is None:
         pytest.skip("numpy carries no bundled OpenBLAS")
+    routines = linalg._openblas_routines()
+    assert routines is not None
+    return routines
 
 
 class TestRankOneRoutes:
@@ -958,7 +960,7 @@ class TestRankOneRoutes:
     @pytest.mark.parametrize("t", [1.0, 1e3])
     def test_eig_update_cases(self, route, case, t):
         if route == "laed":
-            needs_laed()
+            openblas_routines()
         lam, vecs, v = eig_update_case(case)
         w = math.sqrt(t) * np.abs(vecs.conj().T @ v)
         assert_rank_one_solution(lam, w, solve_by(route, lam, w))
@@ -967,7 +969,7 @@ class TestRankOneRoutes:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 15, 16, 17, 33, 64, 120, 200])
     def test_sizes_scales_and_deflation(self, route, n):
         if route == "laed":
-            needs_laed()
+            openblas_routines()
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(71, n)))
         for kind in ("zero-start", "repeated", "zero-coordinates", "distinct"):
             for lam_scale in (1e-8, 1.0, 1e3):
@@ -979,7 +981,7 @@ class TestRankOneRoutes:
     def test_column_types_fit_below_four(self, n):
         # dlaed2 writes 4 column-type counts even when n < 4; a workspace
         # of n entries overruns the heap, which took the interpreter down
-        needs_laed()
+        openblas_routines()
         probe = (
             "import numpy as np\n"
             "from expframes import selection\n"
@@ -1011,21 +1013,17 @@ class TestRankOneRoutes:
     def test_lookup_not_found_takes_eigh(self, laed_unavailable):
         n = selection.LAED_MIN_N + 4
         lam, w = rank_one_input(np.random.default_rng(3), n, "distinct", 1.0, 1.0)
-        assert selection._laed_routines() is None
+        assert linalg._openblas_routines() is None
         assert selection._laed_eigh(lam, w) is None
         got, ref = selection._rank_one_eigh(lam, w), selection._dense_eigh(lam, w)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("failing", ["dlaed2", "dlaed3"])
     def test_info_nonzero_takes_eigh(self, monkeypatch, failing):
-        needs_laed()
-        laed2, laed3 = selection._laed_routines()
-
         def info_one(*args):  # INFO is the last argument of both routines
             ctypes.c_int64.from_address(args[-1]).value = 1
 
-        stub = (info_one, laed3) if failing == "dlaed2" else (laed2, info_one)
-        monkeypatch.setattr(selection, "_laed_routines", lambda: stub)
+        monkeypatch.setitem(openblas_routines(), failing + "_64_", info_one)
         n = selection.LAED_MIN_N + 4
         lam, w = rank_one_input(np.random.default_rng(5), n, "distinct", 1.0, 1.0)
         assert selection._laed_eigh(lam, w) is None
@@ -1033,9 +1031,9 @@ class TestRankOneRoutes:
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_fast_route_taken_from_the_crossover(self, monkeypatch):
-        # without this, a renamed OpenBLAS symbol would silently fall back
-        needs_laed()
-        assert selection._laed_routines() is not None
+        # without this, a renamed OpenBLAS symbol would silently fall back;
+        # openblas_routines fails, not skips, where the library has no dlaed2
+        openblas_routines()
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(selection.np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
@@ -1047,7 +1045,7 @@ class TestRankOneRoutes:
 
     @pytest.mark.parametrize("m,n", [(64, 16), (256, 64), (1024, 176)])
     def test_laed_and_eigh_pick_the_same_sets(self, monkeypatch, m, n):
-        needs_laed()
+        openblas_routines()
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(73, m, n)))
         sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
         picked = {}
@@ -1112,10 +1110,6 @@ TIE_CELLS = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15)
 TIE_D = 0.6066665557516873
 
 
-def has_laed4():
-    return selection._laed4_routine() is not None
-
-
 def count_floor_routes(monkeypatch):
     """Per step of rit_select, rows solved by each floor route and dlaed4 calls.
 
@@ -1126,7 +1120,8 @@ def count_floor_routes(monkeypatch):
     routes = {key: collections.Counter() for key in ("laed4", "calls", "vectorized")}
     now = [0]
     rit_floors, riesz_floors = selection._rit_floors, selection._riesz_floors
-    laed4_floors, laed4 = selection._laed4_floors, selection._laed4_routine()
+    laed4_floors, routines = selection._laed4_floors, linalg._openblas_routines()
+    laed4 = None if routines is None else routines["dlaed4_64_"]
 
     def at_step(state, step, *args):
         now[0] = step
@@ -1148,8 +1143,8 @@ def count_floor_routes(monkeypatch):
     monkeypatch.setattr(selection, "_rit_floors", at_step)
     monkeypatch.setattr(selection, "_riesz_floors", vectorized)
     monkeypatch.setattr(selection, "_laed4_floors", through_laed4)
-    if laed4 is not None:
-        monkeypatch.setattr(selection, "_laed4_routine", lambda: call)
+    if routines is not None:
+        monkeypatch.setitem(routines, "dlaed4_64_", call)
     return routes
 
 
@@ -1185,7 +1180,8 @@ class TestRitScreen:
         assert math.isclose(log[2].lam_min, 0.75, rel_tol=1e-14)
         # the screened settings solve through dlaed4; at the defaults no
         # step of m = 16 is screened
-        assert (sum(routes["laed4"].values()) > 0) == (work == 0 and has_laed4())
+        has_laed4 = linalg._openblas_routines() is not None
+        assert (sum(routes["laed4"].values()) > 0) == (work == 0 and has_laed4)
 
     @pytest.mark.parametrize("m,n,d", [(512, 64, 0.25), (256, 64, 0.25), (256, 32, 0.5)])
     def test_benchmark_sizes_match_eager_loop(self, m, n, d):
@@ -1212,7 +1208,7 @@ class TestRitScreen:
         # small share of the free rows summed over the steps; a screened step
         # solves its rows through dlaed4, one call per row, and an unscreened
         # step solves every free row through the vectorized solver
-        needs_laed()
+        openblas_routines()
         m = 512
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, m, 64)))
         sys = fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, 64, replace=False)))))
@@ -1277,8 +1273,7 @@ class TestLaed4Floors:
 
     @pytest.fixture(autouse=True)
     def laed4(self):
-        if not has_laed4():
-            pytest.skip("the BLAS has no dlaed4")
+        openblas_routines()
 
     def test_rows_in_the_span_and_orthogonal_rows(self):
         # two copies of a scaled basis, rows 0 and 1 picked: rows 3 and 4 lie
@@ -1316,7 +1311,8 @@ class TestLaed4Floors:
         # every eighth row over cells 0..11 of m = 32: the picks' sum has
         # eigenvalues 0.25 and 0.5, four times each, and dlaed4 wants
         # strictly increasing poles, so each repeated one is merged first
-        laed4, orders = selection._laed4_routine(), []
+        routines, orders = openblas_routines(), []
+        laed4 = routines["dlaed4_64_"]
 
         def checking(n, i, d, *rest):
             order = ctypes.c_int64.from_address(n).value
@@ -1325,7 +1321,7 @@ class TestLaed4Floors:
             orders.append(order)
             return laed4(n, i, d, *rest)
 
-        monkeypatch.setattr(selection, "_laed4_routine", lambda: checking)
+        monkeypatch.setitem(routines, "dlaed4_64_", checking)
         sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
         chosen = list(range(0, 32, 4))
         free = [i for i in range(32) if i not in chosen]
@@ -1352,7 +1348,7 @@ class TestLaed4Floors:
 
         sys = fourier_system(ef.GridSpectrum(128, tuple(range(0, 128, 5))))
         expected = eager_rit_picks(sys, 0.25)
-        monkeypatch.setattr(selection, "_laed4_routine", lambda: info_one)
+        monkeypatch.setitem(openblas_routines(), "dlaed4_64_", info_one)
         routes = count_floor_routes(monkeypatch)
         monkeypatch.setattr(selection, "RIT_WORK", 0)
         assert [step.index for step in ef.rit_select(sys, 0.25).barrier_log] == expected
@@ -1364,7 +1360,7 @@ def test_no_laed4_takes_the_vectorized_solve(laed_unavailable, monkeypatch):
     # a BLAS without dlaed4: every screened solve falls back, same picks
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, 512, 64)))
     sys = fourier_system(ef.GridSpectrum(512, tuple(sorted(rng.choice(512, 64, replace=False)))))
-    assert selection._laed4_routine() is None
+    assert linalg._openblas_routines() is None
     expected = eager_rit_picks(sys, 0.25)
     routes = count_floor_routes(monkeypatch)
     got = [step.index for step in ef.rit_select(sys, 0.25).barrier_log]
