@@ -220,7 +220,7 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     routines = _openblas_routines()
     if routines is not None:
-        routines["openblas_set_num_threads64_"](1)
+        routines["set_num_threads"](1)
 
 
 @contextlib.contextmanager
@@ -235,8 +235,8 @@ def _one_blas_thread():
     if routines is None:  # another BLAS: nothing to pin
         yield
         return
-    set_threads = routines["openblas_set_num_threads64_"]
-    threads = routines["openblas_get_num_threads64_"]()
+    set_threads = routines["set_num_threads"]
+    threads = routines["get_num_threads"]()
     set_threads(1)
     try:
         yield

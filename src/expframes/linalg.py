@@ -44,15 +44,13 @@ def _index_array(indices) -> np.ndarray:
 
 # The routines the package calls from numpy's bundled OpenBLAS: name, then
 # argument types and result type.  The LAPACK ones take every argument by
-# reference.  The library has 64-bit integers, so each symbol carries a 64_
-# suffix ("dlaed2_64_", "openblas_set_num_threads64_"); numpy 2's
-# scipy-openblas builds also prefix it with "scipy_".
+# reference.
 _OPENBLAS_SIGNATURES = {
-    "dlaed2_64_": ([ctypes.c_void_p] * 17, None),
-    "dlaed3_64_": ([ctypes.c_void_p] * 14, None),
-    "dlaed4_64_": ([ctypes.c_void_p] * 8, None),
-    "openblas_get_num_threads64_": ([], ctypes.c_int),
-    "openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "dlaed2": ([ctypes.c_void_p] * 17, None),
+    "dlaed3": ([ctypes.c_void_p] * 14, None),
+    "dlaed4": ([ctypes.c_void_p] * 8, None),
+    "get_num_threads": ([], ctypes.c_int),
+    "set_num_threads": ([ctypes.c_int], None),
 }
 
 
@@ -80,7 +78,11 @@ def _openblas_routines() -> Optional[dict]:
         return None
     routines = {}
     for name, (argtypes, restype) in _OPENBLAS_SIGNATURES.items():
-        routine = getattr(lib, "scipy_" + name, None) or getattr(lib, name, None)
+        # LAPACK's Fortran routines link as "dlaed2_", OpenBLAS's own C ones as
+        # "openblas_set_num_threads"; the 64-bit integer build appends "64_"
+        # to either, and numpy 2's scipy-openblas also prefixes "scipy_"
+        link = ("openblas_" + name if name.endswith("_num_threads") else name + "_") + "64_"
+        routine = getattr(lib, "scipy_" + link, None) or getattr(lib, link, None)
         if routine is None:
             return None
         routine.argtypes, routine.restype = argtypes, restype

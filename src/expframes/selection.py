@@ -595,7 +595,7 @@ def _laed4_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> Optional
     routines = _openblas_routines()
     if routines is None:
         return None
-    laed4 = routines["dlaed4_64_"]
+    laed4 = routines["dlaed4"]
     r, c = w2.shape
     poles = np.concatenate(([0.0], lam))
     y2 = np.empty((c, r + 1))  # row i: ||p_i||^2, then |U* v_i|^2
@@ -945,7 +945,7 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     routines = _openblas_routines()
     if routines is None:
         return None
-    laed2, laed3 = routines["dlaed2_64_"], routines["dlaed3_64_"]
+    laed2, laed3 = routines["dlaed2"], routines["dlaed3"]
     n1, nn = n // 2, n * n
     scale = math.ldexp(1.0, -math.frexp(max(-float(lam[0]), float(lam[-1]), norm2))[1])
     # floats: Q = I, Q2, S (n x n each), then D, Z, DLAMDA, W (n each), RHO;

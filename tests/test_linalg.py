@@ -195,9 +195,16 @@ def openblas_loading(lib):
         linalg._openblas_routines.cache_clear()
 
 
-OPENBLAS_NAMES = tuple(linalg._OPENBLAS_SIGNATURES)
-# numpy 2 wheels bundle scipy-openblas, which prefixes every symbol;
-# numpy 1 wheels export the bare 64_-suffixed names
+# Each routine's ILP64 symbol, spelled out here rather than taken from the
+# lookup; numpy 2 wheels bundle scipy-openblas, which prefixes every symbol
+# with "scipy_", and numpy 1 wheels export the bare names
+OPENBLAS_SYMBOLS = {
+    "dlaed2": "dlaed2_64_",
+    "dlaed3": "dlaed3_64_",
+    "dlaed4": "dlaed4_64_",
+    "get_num_threads": "openblas_get_num_threads64_",
+    "set_num_threads": "openblas_set_num_threads64_",
+}
 WHEEL_PREFIXES = pytest.mark.parametrize("prefix", ["scipy_", ""], ids=["numpy2", "numpy1"])
 
 
@@ -211,18 +218,19 @@ class TestOpenblasLookup:
 
     @WHEEL_PREFIXES
     def test_every_routine_resolves_and_is_typed(self, prefix):
-        with openblas_loading(fake_openblas(prefix + name for name in OPENBLAS_NAMES)):
+        with openblas_loading(fake_openblas(prefix + s for s in OPENBLAS_SYMBOLS.values())):
             routines = linalg._openblas_routines()
-        assert routines is not None and tuple(routines) == OPENBLAS_NAMES
+        assert tuple(linalg._OPENBLAS_SIGNATURES) == tuple(OPENBLAS_SYMBOLS)
+        assert routines is not None and tuple(routines) == tuple(OPENBLAS_SYMBOLS)
         for name, (argtypes, restype) in linalg._OPENBLAS_SIGNATURES.items():
             routine = routines[name]
-            assert routine.symbol == prefix + name
+            assert routine.symbol == prefix + OPENBLAS_SYMBOLS[name]
             assert routine.argtypes == argtypes and routine.restype is restype
 
     @WHEEL_PREFIXES
-    @pytest.mark.parametrize("missing", OPENBLAS_NAMES)
+    @pytest.mark.parametrize("missing", tuple(OPENBLAS_SYMBOLS))
     def test_a_missing_routine_gives_none(self, prefix, missing):
-        lib = fake_openblas(prefix + name for name in OPENBLAS_NAMES if name != missing)
+        lib = fake_openblas(prefix + s for name, s in OPENBLAS_SYMBOLS.items() if name != missing)
         with openblas_loading(lib):
             assert linalg._openblas_routines() is None
 

@@ -1023,7 +1023,7 @@ class TestRankOneRoutes:
         def info_one(*args):  # INFO is the last argument of both routines
             ctypes.c_int64.from_address(args[-1]).value = 1
 
-        monkeypatch.setitem(openblas_routines(), failing + "_64_", info_one)
+        monkeypatch.setitem(openblas_routines(), failing, info_one)
         n = selection.LAED_MIN_N + 4
         lam, w = rank_one_input(np.random.default_rng(5), n, "distinct", 1.0, 1.0)
         assert selection._laed_eigh(lam, w) is None
@@ -1121,7 +1121,7 @@ def count_floor_routes(monkeypatch):
     now = [0]
     rit_floors, riesz_floors = selection._rit_floors, selection._riesz_floors
     laed4_floors, routines = selection._laed4_floors, linalg._openblas_routines()
-    laed4 = None if routines is None else routines["dlaed4_64_"]
+    laed4 = None if routines is None else routines["dlaed4"]
 
     def at_step(state, step, *args):
         now[0] = step
@@ -1144,7 +1144,7 @@ def count_floor_routes(monkeypatch):
     monkeypatch.setattr(selection, "_riesz_floors", vectorized)
     monkeypatch.setattr(selection, "_laed4_floors", through_laed4)
     if routines is not None:
-        monkeypatch.setitem(routines, "dlaed4_64_", call)
+        monkeypatch.setitem(routines, "dlaed4", call)
     return routes
 
 
@@ -1312,7 +1312,7 @@ class TestLaed4Floors:
         # eigenvalues 0.25 and 0.5, four times each, and dlaed4 wants
         # strictly increasing poles, so each repeated one is merged first
         routines, orders = openblas_routines(), []
-        laed4 = routines["dlaed4_64_"]
+        laed4 = routines["dlaed4"]
 
         def checking(n, i, d, *rest):
             order = ctypes.c_int64.from_address(n).value
@@ -1321,7 +1321,7 @@ class TestLaed4Floors:
             orders.append(order)
             return laed4(n, i, d, *rest)
 
-        monkeypatch.setitem(routines, "dlaed4_64_", checking)
+        monkeypatch.setitem(routines, "dlaed4", checking)
         sys = fourier_system(ef.GridSpectrum(32, tuple(range(12))))
         chosen = list(range(0, 32, 4))
         free = [i for i in range(32) if i not in chosen]
@@ -1348,7 +1348,7 @@ class TestLaed4Floors:
 
         sys = fourier_system(ef.GridSpectrum(128, tuple(range(0, 128, 5))))
         expected = eager_rit_picks(sys, 0.25)
-        monkeypatch.setitem(openblas_routines(), "dlaed4_64_", info_one)
+        monkeypatch.setitem(openblas_routines(), "dlaed4", info_one)
         routes = count_floor_routes(monkeypatch)
         monkeypatch.setattr(selection, "RIT_WORK", 0)
         assert [step.index for step in ef.rit_select(sys, 0.25).barrier_log] == expected
