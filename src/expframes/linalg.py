@@ -18,6 +18,14 @@ it returns, typed, the rank-one merge dlaed2/dlaed3 and the secular root
 finder dlaed4 that the engines call, and the get/set thread-count routines
 with which the CLI runs BLAS on one thread; or None, and every caller then
 takes its numpy route.
+
+Fourier blocks F[rows, cols] all come from _fourier_block, the one place
+that evaluates their entries.  It checks nothing: dft_submatrix, the public
+entry point, calls it after checking both index sets, and the package calls
+it directly only on residue sets that a GridSpectrum or SamplingSet
+constructor has already checked (selection.fourier_system on range(m) and
+a spectrum's cells, verify.sampling_bounds and verify.riesz_bounds on the
+cells and residues they are given).
 """
 
 from __future__ import annotations
@@ -104,6 +112,16 @@ def dft_submatrix(m: int, row_set, col_set) -> np.ndarray:
             raise ValueError(f"{name} residue out of range [0, {m - 1}]")
         if np.bincount(idx, minlength=m).max() > 1:
             raise ValueError(f"duplicate {name} residues")
+    return _fourier_block(m, rows, cols)
+
+
+def _fourier_block(m: int, rows, cols) -> np.ndarray:
+    """dft_submatrix(m, rows, cols) without its checks on the index sets.
+
+    rows and cols are sequences of ints (a range, a tuple or an int64 array)
+    that a caller has already checked to be nonempty, duplicate-free
+    residues in [0, m): dft_submatrix, or a residue set's own constructor.
+    """
     # Phases reduced mod m stay below 2*pi, so entries are accurate to a few
     # ulps at any m; the m roots of unity are computed once and gathered.
     roots = np.exp(2.0j * np.pi * np.arange(m) / m)
@@ -149,13 +167,15 @@ def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ValueError("hermitian_eig expects a non-empty square matrix")
-    if not (np.all(np.isfinite(h.real)) and np.all(np.isfinite(h.imag))):
+    # a complex entry is finite when both its parts are
+    if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
+    h_star = h.conj().T
     scale = max(1.0, float(np.abs(h).max()))
-    asym = float(np.abs(h - h.conj().T).max())
+    asym = float(np.abs(h - h_star).max())
     if asym > HERMITIAN_RTOL * scale:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}")
-    hs = 0.5 * (h + h.conj().T)
+    hs = 0.5 * (h + h_star)
     vals, vecs = np.linalg.eigh(hs)
     spec = HermitianSpectrum(vals, vecs)
     hnorm = max(1.0, float(np.abs(vals).max()))

@@ -63,7 +63,7 @@ from .errors import (
     NotParseval,
     TooManySubsets,
 )
-from .linalg import _openblas_routines, dft_submatrix
+from .linalg import _fourier_block, _openblas_routines
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
@@ -212,7 +212,7 @@ def fourier_system(g: GridSpectrum) -> VectorSystem:
     uses an FFT.
     """
     m = g.m
-    rows = dft_submatrix(m, range(m), g.cells) / math.sqrt(m)
+    rows = _fourier_block(m, range(m), g.cells) / math.sqrt(m)
     rows.setflags(write=False)
     r = np.asarray(g.cells, dtype=np.int64)
     diffs = 2 * ((r[None, :] - r[:, None]) % m).ravel()
@@ -244,8 +244,8 @@ class SelectionResult:
 
     No bound is carried: the builders certify a selection once, through
     expframes.verify.  The weights of a two-sided run are the weight entries
-    of its barrier_log.  barrier_log is empty when n = m and the engine
-    returned the full index set without a loop.
+    of its barrier_log.  barrier_log is empty when the engine returned the
+    full index set without a loop: at n = m, and in upper_select at k = m.
     """
 
     indices: tuple[int, ...]
@@ -710,7 +710,9 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     TIE_RTOL (relative) of the best count as tied, and the smallest index
     among them wins; step 0 is such a tie for every equal-norm system, so
     row 0 is always selected.  If a step has no feasible candidate, u0 is
-    doubled and the run restarts.
+    doubled and the run restarts.  For k = m every row is picked, so the
+    engine returns range(m) without a run and with an empty barrier log, as
+    bss_select and rit_select do at n = m.
 
     Per step every candidate is scored in closed form (_upper_scores) and
     the eigen-state of the running sum A (_EigState) is updated by the pick:
@@ -725,6 +727,10 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
         raise KTooLarge(f"k={k} exceeds m={m}")
     if k < 1:
         raise ValueError("k must be positive")
+    if k == m:
+        # k distinct rows of m are all of them, whatever order a run picks
+        # them in; range(k) refuses a k that is not an integer, as a run would
+        return SelectionResult(tuple(range(k)))
 
     u0 = 2.0 * (n / m) * k
     for _ in range(64):

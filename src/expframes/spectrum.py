@@ -55,6 +55,8 @@ class IntervalSet:
 
 def _integer(x, error: type[Exception]) -> int:
     """x as an int: integers (numpy's included) only, never bools or floats."""
+    if type(x) is int:  # the common case, ahead of the slower ABC test; bool is not int
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise error(f"{x!r} is not an integer")
     return int(x)

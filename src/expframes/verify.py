@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PeriodMismatch
-from .linalg import dft_submatrix, gram, hermitian_eig
+from .linalg import _fourier_block, gram, hermitian_eig
 from .spectrum import (
     TWO_PI,
     GridSpectrum,
@@ -79,7 +79,7 @@ def sampling_bounds(g: GridSpectrum, lam: SamplingSet) -> BoundReport:
     """
     if lam.m != g.m:
         raise PeriodMismatch(f"set period {lam.m} != spectrum order {g.m}")
-    f = dft_submatrix(g.m, lam.residues, g.cells)
+    f = _fourier_block(g.m, lam.residues, g.cells)
     spec = hermitian_eig(gram(f))
     lower = max(spec.lam_min / g.m, 0.0)
     upper = spec.lam_max / g.m
@@ -110,10 +110,10 @@ def riesz_bounds(omega: GridSpectrum, gamma: SamplingSet) -> BoundReport:
         raise PeriodMismatch(f"set period {gamma.m} != spectrum order {omega.m}")
     m = omega.m
     if 0 < m - omega.n < len(gamma.residues):
-        h = dft_submatrix(m, complement(omega).cells, gamma.residues) / math.sqrt(m)
+        h = _fourier_block(m, complement(omega).cells, gamma.residues) / math.sqrt(m)
         lower, upper = 1.0 - hermitian_eig(gram(h.conj().T)).lam_max, 1.0
     else:
-        f = dft_submatrix(m, omega.cells, gamma.residues) / math.sqrt(m)
+        f = _fourier_block(m, omega.cells, gamma.residues) / math.sqrt(m)
         spec = hermitian_eig(gram(f))
         lower, upper = spec.lam_min, spec.lam_max
     lower = max(lower, 0.0)

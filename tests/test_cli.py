@@ -592,8 +592,8 @@ class TestWorkerProcesses:
         _openblas("set", 2)  # a caller's own setting, restored after the sweep
         try:
             for jobs in ("1", "2"):
-                # --jobs 2 builds serially here: the spy is not picklable
-                # into the workers, so hold a thread to keep the pool off
+                # --jobs 2 builds serially here: a worker's spy would record
+                # in the worker's memory, so hold a thread to keep the pool off
                 release = threading.Event()
                 other = threading.Thread(target=release.wait, args=(30,))
                 other.start()
@@ -645,6 +645,25 @@ class TestWorkerProcesses:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         assert proc.returncode != 0
+
+    def test_worker_set_up_failure_ends_the_sweep(self):
+        # A pool replaces a worker whose initializer raises, forever: with the
+        # set-up there, this sweep hung until the timeout killed it.
+        script = (
+            "import sys\n"
+            "from expframes import cli\n"
+            "def broken():\n"
+            "    raise RuntimeError('no BLAS to pin')\n"
+            "cli._init_worker = broken\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = [
+            sys.executable, "-c", script, "sweep", "--m-list", "16,32", "--s-list", "1/4",
+            "--d-list", "1", "--jobs", "2",
+        ]
+        done = subprocess.run(argv, env=_ENV, capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "sweep worker set-up failed: RuntimeError: no BLAS to pin\n"
 
     def test_import_leaves_multiprocessing_unloaded(self):
         probe = "import sys, expframes.cli; print('multiprocessing' in sys.modules)"

@@ -4,7 +4,9 @@ errors <- spectrum, linalg <- selection, verify <- construct <- cli: a module
 imports only modules of a lower rank, at module level, inside a function or
 under TYPE_CHECKING alike.  In particular verify, the one certifier, imports
 no builder.  Only linalg imports ctypes: it holds the one lookup of numpy's
-bundled OpenBLAS.
+bundled OpenBLAS.  Only linalg evaluates the Fourier entries that grid
+systems and certified bounds gather: selection and verify take their blocks
+from its builder.
 """
 
 import ast
@@ -77,3 +79,59 @@ def imports_ctypes(path: Path) -> bool:
 def test_only_linalg_imports_ctypes():
     # linalg._openblas_routines is the one way into numpy's bundled OpenBLAS
     assert [p.stem for p in sorted(PACKAGE.glob("*.py")) if imports_ctypes(p)] == ["linalg"]
+
+
+# Every function of the package that evaluates a complex exponential or a
+# trigonometric function.  The Fourier entries exp(2i pi j r / m) that the
+# grid systems and the certified bounds gather come from linalg alone;
+# verify's oracles evaluate exponentials at points and over intervals of
+# their own, apart from that route by design.
+TRIG_CALLERS = {
+    ("linalg", "_fourier_block"),
+    ("verify", "gram_quadrature_oracle"),
+    ("verify", "_window_transform.primitive"),
+    ("verify", "TestSignal.transform"),
+    ("verify", "TestSignal.evaluate"),
+}
+TRIG = {"exp", "cos", "sin"}
+
+
+def trig_callers(module: str) -> set[tuple[str, str]]:
+    """(module, function qualname) of every function calling one of TRIG."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in TRIG:
+                    found.add((module, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), [])
+    return found
+
+
+def test_only_linalg_evaluates_fourier_entries():
+    assert set().union(*(trig_callers(module) for module in RANK)) == TRIG_CALLERS
+
+
+def calls(module: str, function: str) -> set[str]:
+    """Names that a top-level function of module calls."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {
+        c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+    }
+
+
+@pytest.mark.parametrize(
+    "module,function",
+    [("selection", "fourier_system"), ("verify", "sampling_bounds"), ("verify", "riesz_bounds")],
+)
+def test_blocks_come_from_linalgs_builder(module, function):
+    assert "_fourier_block" in calls(module, function)

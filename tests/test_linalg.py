@@ -66,12 +66,25 @@ class TestDftSubmatrix:
         assert np.abs(ef.gram(f) - np.eye(m)).max() <= 1e-12
 
     def test_rejects_bad_residues(self):
-        with pytest.raises(ValueError):
-            ef.dft_submatrix(4, (0, 4), (0,))
-        with pytest.raises(ValueError):
-            ef.dft_submatrix(4, (0, 0), (1,))
-        with pytest.raises(ValueError):
-            ef.dft_submatrix(4, (), (1,))
+        for rows, cols, message in (
+            ((0, 4), (0,), "row residue out of range [0, 3]"),
+            ((0, 1), (-1,), "col residue out of range [0, 3]"),
+            ((0, 0), (1,), "duplicate row residues"),
+            (range(4), (2, 1, 2), "duplicate col residues"),
+            ((), (1,), "row set is empty"),
+            ((1,), range(0), "col set is empty"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                ef.dft_submatrix(4, rows, cols)
+            assert str(refused.value) == message
+
+    def test_checked_and_unchecked_blocks_agree(self):
+        # the unchecked builder gives the checked entry point's bytes
+        rows, cols = (0, 3, 7, 12), (2, 5, 11)
+        f = ef.dft_submatrix(13, rows, cols)
+        assert f.tobytes() == linalg._fourier_block(13, rows, cols).tobytes()
+        full = ef.dft_submatrix(13, range(13), cols)
+        assert full.tobytes() == linalg._fourier_block(13, range(13), cols).tobytes()
 
 
 class TestGram:
@@ -106,8 +119,22 @@ class TestHermitianEig:
         assert np.abs(spec.eigenvalues - 1.0).max() <= 1e-10
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotHermitian) as refused:
             ef.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert str(refused.value) == "asymmetry 1.000e+00 exceeds 1e-12 * 1.000e+00"
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_rejects_non_finite_part(self, entry, part):
+        # a non-finite real or imaginary part alone (nan * 1j would spoil
+        # both), off the diagonal of a matrix that is otherwise Hermitian
+        bad = complex(entry, 0.5) if part == "real" else complex(0.5, entry)
+        h = np.eye(3, dtype=np.complex128)
+        h[0, 2], h[2, 0] = bad, bad.conjugate()
+        assert np.isfinite(getattr(h[0, 2], "imag" if part == "real" else "real"))
+        with pytest.raises(ValueError) as refused:
+            ef.hermitian_eig(h)
+        assert str(refused.value) == "matrix entries must be finite"
 
     def test_residual_contract(self):
         rng = np.random.default_rng(11)

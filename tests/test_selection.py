@@ -370,6 +370,23 @@ class TestUpperSelect:
         assert res.indices == tuple(range(6))
         assert math.isclose(fresh_spectrum(sys, res).lam_max, 1.0, rel_tol=1e-10)
 
+    @pytest.mark.parametrize("case", ["dense-not-parseval", "fourier"])
+    def test_k_equal_to_m_takes_every_row_without_a_run(self, monkeypatch, case):
+        if case == "fourier":
+            sys = fourier_system(ef.GridSpectrum(8, (1, 4, 6)))
+        else:
+            sys = restart_system()
+
+        def no_run(*args):
+            raise AssertionError("k = m needs no greedy run")
+
+        monkeypatch.setattr(selection, "_upper_run", no_run)
+        res = ef.upper_select(sys, sys.m)
+        assert res.indices == tuple(range(sys.m)) and res.barrier_log == ()
+        # refused as a run refuses any k that is not an integer
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            ef.upper_select(sys, float(sys.m))
+
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             ef.upper_select(fourier_system(ef.GridSpectrum(4, (0,))), 5)

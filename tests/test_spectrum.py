@@ -76,34 +76,43 @@ class TestGridSpectrum:
         assert math.isclose(lo, 0.0, abs_tol=1e-15) and math.isclose(hi, math.pi)
 
 
+NOT_INTEGER = "{!r} is not an integer"
+OUT_OF_RANGE = "residue out of range [0, m-1]"
 MALFORMED_SUBSETS = [
-    pytest.param(4.5, (1,), id="float-m"),
-    pytest.param(4.0, (1,), id="integral-float-m"),
-    pytest.param(True, (0,), id="bool-m"),
-    pytest.param("4", (1,), id="str-m"),
-    pytest.param(4, (1.7,), id="float-residue"),
-    pytest.param(4, (2.0,), id="integral-float-residue"),
-    pytest.param(4, (False,), id="bool-residue"),
-    pytest.param(4, ("1",), id="str-residue"),
-    pytest.param(0, (0,), id="m-zero"),
-    pytest.param(-3, (0,), id="m-negative"),
-    pytest.param(4, (), id="empty"),
-    pytest.param(4, (1, 2, 1), id="duplicate"),
-    pytest.param(4, (4,), id="above-range"),
-    pytest.param(4, (-1, 2), id="below-range"),
+    pytest.param(4.5, (1,), NOT_INTEGER.format(4.5), id="float-m"),
+    pytest.param(4.0, (1,), NOT_INTEGER.format(4.0), id="integral-float-m"),
+    pytest.param(True, (0,), NOT_INTEGER.format(True), id="bool-m"),
+    pytest.param("4", (1,), NOT_INTEGER.format("4"), id="str-m"),
+    pytest.param(4, (1.7,), NOT_INTEGER.format(1.7), id="float-residue"),
+    pytest.param(4, (2.0,), NOT_INTEGER.format(2.0), id="integral-float-residue"),
+    pytest.param(4, (False,), NOT_INTEGER.format(False), id="bool-residue"),
+    pytest.param(4, ("1",), NOT_INTEGER.format("1"), id="str-residue"),
+    # numpy scalars take the slower of _integer's two routes
+    pytest.param(
+        4, (1, np.float64(2.0)), NOT_INTEGER.format(np.float64(2.0)), id="numpy-float-residue"
+    ),
+    pytest.param(4, (np.bool_(True),), NOT_INTEGER.format(np.bool_(True)), id="numpy-bool-residue"),
+    pytest.param(4, (np.int64(4),), OUT_OF_RANGE, id="numpy-int-above-range"),
+    pytest.param(4, (np.uint8(2), 2), "duplicate residues", id="numpy-int-duplicate"),
+    pytest.param(0, (0,), "m must be positive", id="m-zero"),
+    pytest.param(-3, (0,), "m must be positive", id="m-negative"),
+    pytest.param(4, (), "residue set must be nonempty", id="empty"),
+    pytest.param(4, (1, 2, 1), "duplicate residues", id="duplicate"),
+    pytest.param(4, (4,), OUT_OF_RANGE, id="above-range"),
+    pytest.param(4, (-1, 2), OUT_OF_RANGE, id="below-range"),
 ]
 
 
 class TestSubsetsOfZm:
     """GridSpectrum cells and SamplingSet residues obey one rule."""
 
-    @pytest.mark.parametrize("m,residues", MALFORMED_SUBSETS)
-    def test_refuses_malformed(self, m, residues):
+    @pytest.mark.parametrize("m,residues,message", MALFORMED_SUBSETS)
+    def test_refuses_malformed(self, m, residues, message):
         with pytest.raises(SpectrumFormatError) as grid:
             ef.GridSpectrum(m, residues)
         with pytest.raises(ValueError) as periodic:
             ef.SamplingSet(m, residues)
-        assert str(grid.value) == str(periodic.value)
+        assert str(grid.value) == str(periodic.value) == message
 
 
 BAD_ORDERS = [
