@@ -3,14 +3,14 @@
 Reports go to stdout as JSON or CSV (CSV schemas are versioned in a header
 comment).  Every numeric bound in a report comes from the verification
 layer: the builders certify through it once, and the CLI prints their
-numbers.  Exit codes: 0 all certificates pass, 1 certificate failure (or
-a sweep worker process that could not be set up), 2 input error.
+numbers.  Exit codes: 0 all certificates pass, 1 certificate failure, 2
+input error.
 
 ``sweep --jobs N`` validates the whole grid first, then builds its points
 on N threads, longest point first.  The greedy loop holds the interpreter
 lock between its LAPACK calls, so each thread hands its build to one of N
-worker processes, which run BLAS on one thread; a worker whose set-up
-fails ends the sweep with exit code 1.  They are forked before
+worker processes, which run BLAS on one thread because they are forked
+inside main's one-thread pin (below) and keep it.  They are forked before
 any thread starts: a fork from a process with other threads can copy a
 lock another thread holds.  Where fork is not available, or the caller
 already runs other threads, the points are built one after another on the
@@ -197,7 +197,7 @@ def _sweep_case(m: int, n: int, d: float, seed: int, procs=None):
     if procs is None:
         report = cons.build_sampling(grid, d)
     else:
-        report = procs.apply(_worker_build, (grid, d))
+        report = procs.apply(cons.build_sampling, (grid, d))
     bounds = report.bounds
     # build_sampling raises CertificateFailed below its target, so "pass" is true.
     return [
@@ -206,35 +206,6 @@ def _sweep_case(m: int, n: int, d: float, seed: int, procs=None):
         bounds.lower, bounds.upper, report.constant_check, (n / m) ** 2,
         True,
     ]
-
-
-class _WorkerSetupFailed(Exception):
-    """A sweep worker process could not be set up (see _worker_build)."""
-
-
-def _init_worker() -> None:
-    """Set up a sweep worker process: BLAS on one thread.
-
-    The workers are the parallelism, so a BLAS thread pool in each of them
-    only oversubscribes the cores.  Setting it again is harmless.
-    """
-    routines = _openblas_routines()
-    if routines is not None:
-        routines["set_num_threads"](1)
-
-
-def _worker_build(grid: GridSpectrum, d: float):
-    """build_sampling in a sweep worker, after the worker's set-up.
-
-    The set-up runs here, in the task, and not as the pool's initializer:
-    a pool replaces a worker whose initializer raises, forever, so the
-    sweep would hang; raised here, the error reaches the parent.
-    """
-    try:
-        _init_worker()
-    except Exception as exc:
-        raise _WorkerSetupFailed(f"{type(exc).__name__}: {exc}") from exc
-    return cons.build_sampling(grid, d)
 
 
 @contextlib.contextmanager
@@ -273,8 +244,7 @@ def _sweep_parallel(points, seed: int, workers: int) -> list:
     # Pool forks all its workers here, while this is the only thread; the
     # threads finish before the pool is terminated.  Ctrl-C goes to the
     # parent alone: a worker killed mid-task would leave its thread waiting
-    # for a result forever.  Ignoring it is the workers' only initializer,
-    # which cannot fail; the rest of their set-up runs in each task.
+    # for a result forever.  Ignoring it is the workers' only initializer.
     pool = multiprocessing.get_context("fork").Pool(
         workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)
     )
@@ -372,9 +342,6 @@ def main(argv=None) -> int:
             return args.func(args)
     except (CertificateFailed, NoFeasibleCandidate) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
-        return 1
-    except _WorkerSetupFailed as exc:
-        print(f"sweep worker set-up failed: {exc}", file=sys.stderr)
         return 1
     except (ExpframesError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .spectrum import (
     IntervalSet,
     SamplingSet,
     _grid_order,
+    _integer,
     complement,
     complement_residues,
     measure,
@@ -131,10 +132,12 @@ def build_bessel(g: GridSpectrum, k: Optional[int] = None) -> ConstructionReport
 
     The upper-barrier engine keeps the certified top bound small; the report
     carries the achieved ratio upper/|S| in constant_check since no a priori
-    constant is certified.
+    constant is certified.  k must be an integer (numpy's included, not a
+    bool or float), else ValueError.
     """
     if k is None:
         k = min(g.n + 1, g.m)
+    k = _integer(k, ValueError)
     if k < g.n:
         raise ValueError(f"k={k} below the cell count n={g.n}")
     result = upper_select(fourier_system(g), k)

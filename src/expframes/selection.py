@@ -67,7 +67,7 @@ from .linalg import _fourier_block, _openblas_routines
 # No engine decomposes through hermitian_eig; the name stays a module
 # attribute because bench/tracing.py wraps it here to count such calls.
 from .linalg import hermitian_eig  # noqa: F401
-from .spectrum import GridSpectrum
+from .spectrum import GridSpectrum, _integer
 
 EPS = float(np.finfo(float).eps)
 PARSEVAL_RTOL = 1e-10
@@ -712,7 +712,8 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     row 0 is always selected.  If a step has no feasible candidate, u0 is
     doubled and the run restarts.  For k = m every row is picked, so the
     engine returns range(m) without a run and with an empty barrier log, as
-    bss_select and rit_select do at n = m.
+    bss_select and rit_select do at n = m.  A k that is not an integer
+    (numpy's included; bools and floats are not) raises ValueError.
 
     Per step every candidate is scored in closed form (_upper_scores) and
     the eigen-state of the running sum A (_EigState) is updated by the pick:
@@ -723,13 +724,13 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
     and products of rank r.
     """
     m, n = sys.m, sys.n
+    k = _integer(k, ValueError)
     if k > m:
         raise KTooLarge(f"k={k} exceeds m={m}")
     if k < 1:
         raise ValueError("k must be positive")
     if k == m:
-        # k distinct rows of m are all of them, whatever order a run picks
-        # them in; range(k) refuses a k that is not an integer, as a run would
+        # k distinct rows of m are all of them, whatever order a run picks them in
         return SelectionResult(tuple(range(k)))
 
     u0 = 2.0 * (n / m) * k

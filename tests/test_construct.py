@@ -116,6 +116,24 @@ class TestBuildBessel:
         with pytest.raises(ValueError):
             ef.build_bessel(ef.GridSpectrum(4, (0, 1, 2)), 2)
 
+    @pytest.mark.parametrize("k", [5.0, 4.5, True])
+    def test_k_must_be_an_integer(self, k):
+        # 5.0 reached range() as a bare TypeError; True built a set of one
+        g = ef.GridSpectrum(16, (0, 1, 2))
+        for build, spectrum in (
+            (ef.build_bessel, g),
+            (ef.build_bessel, ef.GridSpectrum(4, (0,))),
+            (ef.upper_select, fourier_system(g)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build(spectrum, k)
+            assert str(exc.value) == f"{k!r} is not an integer"
+
+    def test_numpy_integer_k(self):
+        rep = ef.build_bessel(ef.GridSpectrum(16, (0, 1, 2)), np.int64(4))
+        assert rep.param == 4.0 and type(rep.param) is float
+        assert len(rep.sampling_set.residues) == 4
+
 
 class TestBuildRiesz:
     def test_single_cell_singleton(self):
