@@ -28,6 +28,25 @@ REQUESTS = {
     "sampling-m16": ["construct", "--spectrum", '{"m":16,"cells":[0,1,2,5]}', "--d", "1"],
     "sampling-m32": ["construct", "--spectrum", INTERVALS, "--m", "32", "--d", "0.5"],
     "sampling-m256": ["construct", "--spectrum", INTERVALS, "--m", "256", "--d", "1"],
+    # m < 3n: the full-rank greedies score from the rows' projections on the basis
+    "sampling-m32-n28": [
+        "construct", "--spectrum",
+        json.dumps({"m": 32, "cells": [r for r in range(32) if r not in (3, 10, 17, 25)]}),
+        "--d", "0.5",
+    ],
+    # 18 steps at m = 32 cannot cover Z_m, so every pick shows
+    "sampling-m32-n12": [
+        "construct", "--spectrum", '{"m":32,"cells":[0,1,2,4,5,7,9,12,16,20,25,27]}', "--d", "0.5",
+    ],
+    "sampling-m16-n12": [
+        "construct", "--spectrum",
+        json.dumps({"m": 16, "cells": [0, 1, 2, 4, 5, 6, 8, 9, 11, 12, 13, 15]}), "--d", "3",
+    ],
+    "bessel-m32-n20": [
+        "construct", "--spectrum",
+        json.dumps({"m": 32, "cells": sorted([*range(0, 30, 3), *range(1, 31, 3)])}),
+        "--mode", "bessel",
+    ],
     # n = m - 1, so the default k = n + 1 is m
     "bessel-m16-k-is-m": [
         "construct", "--spectrum", json.dumps({"m": 16, "cells": list(range(15))}),
