@@ -29,16 +29,21 @@ LAED_MIN_N on where linalg._openblas_routines finds it, else by one dense
 real eigh; a range state's first term, into A = 0, is closed form.  While
 A has rank r < n, the state of the two-sided and upper engines from
 n = RANK_MIN_N on, and the Riesz engine's at every n, holds only an n x r
-basis of its range: the rank-one solve then has order r + 1, and it, the
-rotation and the packed product of rank r cost O(n r^2) instead of
-O(n^3).  The Riesz engine reads its Gram's eigenvalues from that range,
+basis of its range: the rank-one solve then has order r + 1, it and the
+rotation cost O(n r^2), and the packed product of rank r costs O(n^2 r),
+instead of O(n^3) each.  Below RANK_MIN_N, where m < 3n, the two-sided and
+upper engines' state holds the rows' projections W = U* V^T on the
+eigenvectors in place of U: a step updates W by one real n x n by n x 2m
+product and reads every score from |W|^2, O(m n^2) in all, which undercuts
+the O(n^3) of rotating U and packing a matrix exactly when m < 3n.  The
+Riesz engine reads its Gram's eigenvalues from that range,
 solves the floors of only the rows of largest bound and of those one
 quadratic-form pass cannot rule out, and picks as over all rows; it solves
 those screened floors one row per call of LAPACK's secular root finder
 dlaed4, from the same lookup, and an unscreened step's floors all at
 once by a vectorized numpy iteration.  The scores depend only on the
 spectral projections, not on eigenvector phases, and only steer the
-greedy.  The engines read their scores as
+greedy.  Without W the engines read their scores as
 quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
 a grid system built by fourier_system evaluates with one FFT.  The
 engines only select: they certify nothing, and the bounds of a built set
@@ -297,11 +302,15 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     rank-one step per pick; both scores of every candidate are the real and
     imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
     full-rank step costs one real rank-one solve (LAPACK's O(n^2) secular
-    merge plus an n x n product from order LAED_MIN_N on, else a dense
-    eigh), two n x n products, then O(n^2 + m log m) on a Fourier grid
-    system.  While A has rank r < n (the first n steps, from n = RANK_MIN_N
-    on) the solve has order r + 1 and both products have rank r.  The ratio
-    guard reads the loop's last eigenvalues; no bound is returned.
+    merge from order LAED_MIN_N on, else a dense eigh), then either, where
+    m >= 3n, the n x n rotation of U, the packed n x n product and
+    O(n^2 + m log m) on a Fourier grid system (8 n^3 + 4 n^3 flops in the
+    products), or, where m < 3n, the update of the projections W = U* V^T,
+    one real n x n by n x 2m product (4 m n^2 flops), and one real product
+    of |W|^2 with the coefficients.  While A has rank r < n (the first n
+    steps, from n = RANK_MIN_N on) the solve has order r + 1, the rotation
+    costs O(n r^2) and the packed product O(n^2 r).  The ratio guard reads
+    the loop's last eigenvalues; no bound is returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
@@ -332,51 +341,58 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     norm2_max = float(np.max(np.einsum("ij,ij->i", sys.vectors, sys.vectors.conj()).real))
     picked: set[int] = set()
     log: list[BarrierStep] = []
+    coef = np.empty(n, dtype=np.complex128)  # g_u + i g_l, written in place each step
+    g_u, g_l = coef.real, coef.imag
 
     for step in range(steps):
         u_next, l_next = upper + delta_u, lower + delta_l
-        gaps_u = u_next - lam
-        gaps_l = lam - l_next
-        if gaps_u.min() <= 0.0 or gaps_l.min() <= 0.0:
+        # lam ascends, and rounding is monotone, so the ends hold the least gaps
+        if u_next - lam[-1] <= 0.0 or lam[0] - l_next <= 0.0:
             raise NoFeasibleCandidate(f"barrier crossed the spectrum at step {step}")
-        inv_u, inv_l = 1.0 / gaps_u, 1.0 / gaps_l
-        denom_u = phi_u - float(np.sum(inv_u))
-        denom_l = float(np.sum(inv_l)) - phi_l
+        inv_u, inv_l = 1.0 / (u_next - lam), 1.0 / (lam - l_next)
+        denom_u = phi_u - float(inv_u.sum())
+        denom_l = float(inv_l.sum()) - phi_l
         if denom_u <= 0.0 or denom_l <= 0.0:
             raise NoFeasibleCandidate(f"potential shift degenerate at step {step}")
 
         # U(v) = v*(u'-A)^-2 v / denom_u + v*(u'-A)^-1 v and its lower mirror,
-        # both as quadratic forms of one packed matrix.
-        g_u = inv_u**2 / denom_u + inv_u
-        g_l = inv_l**2 / denom_l - inv_l
-        forms = state.forms(g_u + 1j * g_l)
+        # g_u = inv_u^2 / denom_u + inv_u and g_l = inv_l^2 / denom_l - inv_l,
+        # as the real and imaginary parts of one family of forms.
+        np.square(inv_u, out=g_u)
+        g_u /= denom_u
+        g_u += inv_u
+        np.square(inv_l, out=g_l)
+        g_l /= denom_l
+        g_l -= inv_l
+        forms = state.forms(coef)
         score_u, score_l = forms.real, forms.imag
         margin = score_l - score_u
         # Tie scale: the size of the scores plus their sensitivity s to the
         # eigenvalues' rounding (see "Ties" above).
         dg_u = 2.0 * inv_u**3 / denom_u + inv_u**2
         dg_l = -2.0 * inv_l**3 / denom_l + inv_l**2
-        sens = norm2_max * max(abs(lam[0]), abs(lam[-1])) * float(np.max(dg_u + np.abs(dg_l)))
-        tie_scale = float(np.max(np.abs(score_u) + np.abs(score_l))) + sens
-        band = margin >= margin.max() - TIE_RTOL * tie_scale
-        size = np.maximum(np.abs(score_u), np.abs(score_l))
-        feasible = margin >= -FEASIBILITY_SLACK * np.maximum(1.0, size)
-        ok = np.flatnonzero(band & feasible)
-        if ok.size == 0:
+        sens = norm2_max * max(abs(lam[0]), abs(lam[-1])) * float((dg_u + np.abs(dg_l)).max())
+        mag = np.abs(forms.view(np.float64)).reshape(m, 2)
+        abs_u, abs_l = mag[:, 0], mag[:, 1]
+        tie_scale = float((abs_u + abs_l).max()) + sens
+        best = margin.max()
+        ok = margin >= best - TIE_RTOL * tie_scale
+        ok &= margin >= -FEASIBILITY_SLACK * np.maximum(1.0, np.maximum(abs_u, abs_l))
+        chosen = int(ok.argmax())
+        if not ok[chosen]:
             raise NoFeasibleCandidate(
-                f"no index with U <= L at step {step} (best margin {margin.max():.3e})"
+                f"no index with U <= L at step {step} (best margin {best:.3e})"
             )
-        chosen = int(ok[0])
         t = 2.0 / (score_u[chosen] + score_l[chosen])
         if not (t > 0.0 and math.isfinite(t)):
             raise NoFeasibleCandidate(f"non-positive weight at step {step}")
 
         picked.add(chosen)
         upper, lower = u_next, l_next
-        state.add(sys.vectors[chosen], t)
+        state.add(chosen, t)
         lam = state.lam
-        phi_u = float(np.sum(1.0 / (upper - lam)))
-        phi_l = float(np.sum(1.0 / (lam - lower)))
+        phi_u = float((1.0 / (upper - lam)).sum())
+        phi_l = float((1.0 / (lam - lower)).sum())
         log.append(
             BarrierStep(
                 u=upper,
@@ -472,7 +488,7 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
         floor = float(floors[best])
         stale[best] = -np.inf
         chosen.append(best)
-        state.add(sys.vectors[best], 1.0)
+        state.add(best, 1.0)
         lam = state.lam
         lam_min = float(lam[n - step - 1])  # A has rank step + 1
         log.append(BarrierStep(None, floor, None, None, best, 1.0, lam_min, float(lam[-1])))
@@ -717,11 +733,12 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
 
     Per step every candidate is scored in closed form (_upper_scores) and
     the eigen-state of the running sum A (_EigState) is updated by the pick:
-    one real rank-one solve (see bss_select), two n x n products, then
-    O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on any other).  The
-    k = n + 1 picks of a Bessel set leave A rank-deficient until the n-th,
-    so from n = RANK_MIN_N on nearly every step has a solve of order r + 1
-    and products of rank r.
+    one real rank-one solve, then as in bss_select either, where m >= 3n,
+    two n x n products and O(n^2 + m log m) on a Fourier grid system
+    (O(n^2 m) on any other), or, where m < 3n, the n x n by n x 2m update
+    of W and one product of |W|^2, O(m n^2).  The k = n + 1 picks of a
+    Bessel set leave A rank-deficient until the n-th, so from n = RANK_MIN_N
+    on nearly every step has a solve of order r + 1 and products of rank r.
     """
     m, n = sys.m, sys.n
     k = _integer(k, ValueError)
@@ -759,7 +776,7 @@ def _upper_scores(state: _EigState, u_next: float):
     q1, q2 = forms.real, forms.imag
     feasible = q1 < 1.0
     phi = np.full(q1.shape, np.inf)
-    phi[feasible] = float(np.sum(inv)) + q2[feasible] / (1.0 - q1[feasible])
+    phi[feasible] = float(inv.sum()) + q2[feasible] / (1.0 - q1[feasible])
     return feasible, phi
 
 
@@ -783,7 +800,7 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
         best = int(cand[pos])
         free[best] = False
         u = u_next
-        state.add(sys.vectors[best], 1.0)
+        state.add(best, 1.0)
         lam = state.lam
         log.append(
             BarrierStep(u, None, float(phi[best]), None, best, 1.0, float(lam[0]), float(lam[-1]))
@@ -794,40 +811,64 @@ def _upper_run(sys: VectorSystem, k: int, u0: float):
 class _EigState:
     """Eigendecomposition of the running sum A = sum_j t_j v_j v_j* of a greedy.
 
-    lam holds all n eigenvalues of A, ascending.  While A has rank r < n,
-    vecs holds only an orthonormal basis of its range, n x r, for the top
-    eigenvalues lam[n - r:]; the n - r null eigenvalues are exact zeros and
-    their eigenvectors stay implicit.  At r = n, vecs is the unitary U of
-    A = U diag(lam) U*.  Below RANK_MIN_N the state starts there, with
-    A = 0 and U = I, and never holds a partial basis; _range_only (the Riesz
-    engine's state) holds the range basis at every n.
+    lam holds all n eigenvalues of A, ascending.  The eigenvectors take one
+    of three forms, chosen once from n and m:
 
-    Every basis lives in the last r rows of one n x n buffer, _rows, as
-    U^T, and vecs is a view of them: the full-rank start is _rows = I, the
-    range start an empty view.  A new basis vector takes the row above, and
-    each update writes the rotated basis into those rows through
-    _rank_one_update, so nothing is allocated or concatenated per step.
+    * the range basis (from RANK_MIN_N on, and the Riesz engine's state,
+      _range_only, at every n): while A has rank r < n, vecs holds only an
+      orthonormal basis of its range, n x r, for the top eigenvalues
+      lam[n - r:]; the n - r null eigenvalues are exact zeros and their
+      eigenvectors stay implicit.  At r = n, vecs is the unitary U of
+      A = U diag(lam) U*.
+    * the unitary U itself (below RANK_MIN_N when m >= 3n), from A = 0 and
+      U = I on.
+    * the row projections W = U* V^T (below RANK_MIN_N when m < 3n), n x m,
+      W[k, j] = u_k* v_j, from W = V^T on; U is not kept, and vecs is None.
+      A step then updates W, one real n x n by n x 2m product (4 m n^2
+      flops), in place of rotating U (4 n^3) and packing an n x n matrix
+      for the forms (8 n^3), so it is the cheaper form exactly when m < 3n.
+
+    U's bases live in the last r rows of one n x n buffer, _rows, as U^T,
+    and vecs is a view of them: the full-rank start is _rows = I, the range
+    start an empty view.  A new basis vector takes the row above, and each
+    update writes the rotated basis into those rows (or W into _w) through
+    _rank_one_update, so nothing is allocated or concatenated per step.  A
+    state that reaches order n solves at LAED_MIN_N and above owns the
+    workspace of its order-n rank-one merges (_Merge); the range state's
+    smaller orders take one per call.
     """
 
     def __init__(self, sys: VectorSystem, _range_only: bool = False):
-        n = sys.n
+        m, n = sys.m, sys.n
         self.sys = sys
         self.lam = np.zeros(n)
-        if n < RANK_MIN_N and not _range_only:
-            self._rows = np.eye(n, dtype=np.complex128)
-            self.vecs = self._rows.T
-        else:
+        self._w = None
+        self._merge = _Merge(n) if n >= LAED_MIN_N and not _range_only else None
+        if n >= RANK_MIN_N or _range_only:
             self._rows = np.empty((n, n), dtype=np.complex128)
             self.vecs = self._rows[n:].T
+        elif m < 3 * n:
+            self._w = sys.vectors.T.copy()
+            self.vecs = None
+        else:
+            self._rows = np.eye(n, dtype=np.complex128)
+            self.vecs = self._rows.T
 
     def forms(self, c: np.ndarray) -> np.ndarray:
-        """v_j* f(A) v_j of every row j, where f maps each lam[k] to c[k].
+        """v_j* f(A) v_j of every row j, where f maps each lam[k] to c[k] (complex).
 
-        With a partial basis V, f(A) = V diag(c_r - c_0) V* + c_0 I: the
-        null eigenvalues share c_0 = f(0), so their part of each form is
-        c_0 ||v_j||^2, and the packed product has rank r (8 n r^2 flops
-        instead of 8 n^3).
+        From W the forms are sum_k c_k |W[k, j]|^2: one real product of |W|^2
+        with c's real and imaginary parts, 4 m n flops, whose m x 2 result
+        reads back as the complex forms.  From U, f(A) = U diag(c) U* is
+        packed and its forms read by VectorSystem.quad_forms.  With a partial
+        basis V, f(A) = V diag(c_r - c_0) V* + c_0 I: the null eigenvalues
+        share c_0 = f(0), so their part of each form is c_0 ||v_j||^2, and
+        the packed product has rank r (8 n^2 r flops instead of 8 n^3).
         """
+        if self._w is not None:
+            sq = np.square(self._w.view(np.float64))
+            w2 = np.add(sq[:, ::2], sq[:, 1::2])
+            return (w2.T @ c.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
         vecs = self.vecs
         n, r = vecs.shape
         if r == n:
@@ -837,23 +878,31 @@ class _EigState:
         packed.flat[:: n + 1] += c0
         return self.sys.quad_forms(packed)
 
-    def add(self, v: np.ndarray, t: float) -> None:
-        """Update the state to A + t vv* (t > 0).
+    def add(self, j: int, t: float) -> None:
+        """Update the state to A + t v_j v_j* (t > 0) for row j of the system.
 
-        At full rank this is one _rank_one_update on z = U* v.  From A = 0 it
-        is closed form: the eigenvalue t ||v||^2 with eigenvector v / ||v||.
-        Otherwise v's residual p outside the range (projected twice, as in
-        classical Gram-Schmidt) becomes a new basis vector with eigenvalue 0
-        before the rank-one solve, which then runs on r + 1 columns.  The
-        residual is dropped instead when its terms in A + t vv*, t ||v|| ||p||
-        at most, are below the rounding of A's eigenvalues by dlaed2's
+        At full rank this is one _rank_one_update: on z = U* v_j, or on
+        conj(W[:, j]) for W, which the update then carries as
+        W' = Q^T diag(conj(z/|z|)) W.  From A = 0 it is closed form: the
+        eigenvalue t ||v||^2 with eigenvector v / ||v||.  Otherwise v's
+        residual p outside the range (projected twice, as in classical
+        Gram-Schmidt) becomes a new basis vector with eigenvalue 0 before
+        the rank-one solve, which then runs on r + 1 columns.  The residual
+        is dropped instead when its terms in A + t vv*, t ||v|| ||p|| at
+        most, are below the rounding of A's eigenvalues by dlaed2's
         deflation test, 8 eps times the larger of lam_max and t ||v||^2.
         """
+        w = self._w
+        if w is not None:
+            self.lam = _rank_one_update(self.lam, w.T, w[:, j].conj(), t, w, self._merge)
+            return
+        v = self.sys.vectors[j]
         vecs = self.vecs
         n, r = vecs.shape
         rows = self._rows
         if r == n:
-            self.lam = _rank_one_update(self.lam, vecs, (v.conj() @ vecs).conj(), t, rows)
+            z = (v.conj() @ vecs).conj()
+            self.lam = _rank_one_update(self.lam, vecs, z, t, rows, self._merge)
             return
         v2 = np.vdot(v, v).real
         if r == 0:
@@ -875,21 +924,27 @@ class _EigState:
             basis = rows[n - r :]
             self.vecs = basis.T
             z = np.concatenate(([rho], z))  # p* v / ||p|| = ||p||, p being orthogonal to U
-        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis)
+        merge = self._merge if r == n else None
+        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis, merge)
 
 
-def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray):
+def _rank_one_update(
+    lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray, merge=None
+):
     """Eigenvalues of U diag(lam) U* + t vv* from lam, U = vecs and z = U* v.
 
     U is n x k with orthonormal columns whose span holds v, and t > 0.
     With the diagonal phase D = diag(z/|z|) (1 where z_k = 0), the sum is
     (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose middle
     factor is real symmetric.  _rank_one_eigh decomposes it into lam' and
-    Q, and U' = (U D) Q, one real n x 2k product written into out, a
-    C-contiguous k x n array, as U'^T; out may be vecs^T itself, since the
-    product reads a scaled copy of U.  Returns lam', ascending.  z = 0
-    leaves lam and U unchanged: the middle factor is then diag(lam), which
-    the dense route decomposes exactly.
+    Q, through merge (a _Merge of order k, or None), and U' = (U D) Q, one
+    real n x 2k product written into out, a C-contiguous k x n array, as
+    U'^T; out may be vecs^T itself, since the product reads a scaled copy
+    of U.  Returns lam', ascending.  z = 0 leaves lam and U unchanged: the
+    middle factor is then diag(lam), which the dense route decomposes
+    exactly.  The same product carries the row projections: with
+    vecs = W^T, z = conj(W[:, j]) and out = W, it writes Q^T D W, the
+    projections on U' of the rows W projected on U.
     """
     mod = np.abs(z)
     if mod.all():
@@ -897,7 +952,7 @@ def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float,
     else:
         zero = mod == 0.0
         phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
-    lam_new, q = _rank_one_eigh(lam, math.sqrt(t) * mod)
+    lam_new, q = _rank_one_eigh(lam, math.sqrt(t) * mod, merge)
     # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
     # real and imaginary parts, which Q^T leaves apart.
     rotated = np.ascontiguousarray((vecs * phase).T)
@@ -905,15 +960,16 @@ def _rank_one_update(lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float,
     return lam_new
 
 
-def _rank_one_eigh(lam: np.ndarray, w: np.ndarray):
+def _rank_one_eigh(lam: np.ndarray, w: np.ndarray, merge=None):
     """Ascending eigenvalues and eigenvectors (columns) of diag(lam) + w w^T.
 
     lam must be ascending.  From LAED_MIN_N on, LAPACK's rank-one merge
-    (_laed_eigh) runs when numpy's bundled OpenBLAS provides it and
-    succeeds; otherwise, and below LAED_MIN_N, a dense real eigh.
+    (_laed_eigh, in merge's workspace where one is given) runs when numpy's
+    bundled OpenBLAS provides it and succeeds; otherwise, and below
+    LAED_MIN_N, a dense real eigh.
     """
     if lam.size >= LAED_MIN_N:
-        out = _laed_eigh(lam, w)
+        out = _laed_eigh(lam, w, merge)
         if out is not None:
             return out
     return _dense_eigh(lam, w)
@@ -926,7 +982,45 @@ def _dense_eigh(lam: np.ndarray, w: np.ndarray):
     return np.linalg.eigh(middle)
 
 
-def _laed_eigh(lam: np.ndarray, w: np.ndarray):
+class _Merge:
+    """The workspace of LAPACK's rank-one merge (dlaed2/dlaed3) at one order n.
+
+    Floats: Q, Q2, S (n x n each), then D, Z, DLAMDA, W (n each) and RHO;
+    dlaed3 copies up to K x K entries into S, more than its documented
+    (N1 + 1) * K.  Integers: K, N, N1, LDQ, INFO, then INDXQ, INDX, INDXC,
+    INDXP (n each) and COLTYP, into which dlaed2 writes 4 counts even when
+    n < 4.  The routines' arguments are the buffers' addresses, taken once.
+    _laed_eigh resets what a call reads: Q to I, and K, INFO and INDXQ
+    (which dlaed2 overwrites) from head; every other entry is written by
+    the routines before they read it.  A workspace serves one caller at a
+    time, and the eigenvectors _laed_eigh returns are a view of its Q, valid
+    until its next call.
+    """
+
+    def __init__(self, n: int):
+        nn, n1 = n * n, n // 2
+        self.flt = np.empty(3 * nn + 4 * n + 1)
+        self.q = self.flt[:nn].reshape(n, n)
+        self.d = self.flt[3 * nn : 3 * nn + n]
+        self.z = self.flt[3 * nn + n : 3 * nn + 2 * n]
+        self.ints = np.empty(5 + 4 * n + max(n, 4), dtype=np.int64)
+        self.head = np.empty(5 + n, dtype=np.int64)
+        self.head[:5] = (0, n, n1, n, 0)
+        self.head[5:] = np.arange(1, n + 1)
+        self.head[5 + n1 :] -= n1  # INDXQ: each half's own ascending order
+        f, i = self.flt.ctypes.data, self.ints.ctypes.data
+        K, N, N1, LDQ, INFO = i, i + 8, i + 16, i + 24, i + 32
+        INDXQ = i + 40
+        INDX, INDXC, INDXP, COLTYP = INDXQ + 8 * n, INDXQ + 16 * n, INDXQ + 24 * n, INDXQ + 32 * n
+        Q, Q2, S = f, f + 8 * nn, f + 16 * nn
+        D = f + 24 * nn
+        Z, DLAMDA, W, RHO = D + 8 * n, D + 16 * n, D + 24 * n, D + 32 * n
+        self.laed2_args = (K, N, N1, D, Q, LDQ, INDXQ, RHO, Z, DLAMDA, W, Q2, INDX, INDXC, INDXP,
+                           COLTYP, INFO)
+        self.laed3_args = (K, N, N1, D, Q, LDQ, RHO, DLAMDA, Q2, INDXC, COLTYP, W, S, INFO)
+
+
+def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: Optional[_Merge] = None):
     """diag(lam) + w w^T through LAPACK's rank-one merge, or None.
 
     This is the merge step of divide and conquer (dlaed1 without its
@@ -938,12 +1032,15 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     passes them.  lam and rho are first scaled by a power of two that puts
     the larger of max|lam| and ||w||^2 in [1/2, 1), since dlaed2's
     deflation tolerance is absolute.  The eigenvalues come back in two
-    ascending runs (kept, then deflated) and are sorted with their vectors.
+    ascending runs (kept, then deflated); with nothing deflated they are
+    already ascending, else they are sorted with their vectors.
 
+    The call runs in merge, a _Merge of order n owned by the caller, or in
+    a workspace of its own; with merge, the eigenvectors are a view of its
+    Q.  The routines are read from _openblas_routines at every call.
     Returns None, for the dense route to take over, when _openblas_routines
     finds no library, n < 2, w is zero or not finite, or LAPACK reports
-    INFO != 0.  The workspace is allocated per call, so concurrent calls
-    share nothing.
+    INFO != 0.
     """
     n = lam.size
     norm2 = float(w @ w)
@@ -952,39 +1049,26 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray):
     routines = _openblas_routines()
     if routines is None:
         return None
-    laed2, laed3 = routines["dlaed2"], routines["dlaed3"]
-    n1, nn = n // 2, n * n
+    if merge is None:
+        merge = _Merge(n)
+    ints, q, d = merge.ints, merge.q, merge.d
     scale = math.ldexp(1.0, -math.frexp(max(-float(lam[0]), float(lam[-1]), norm2))[1])
-    # floats: Q = I, Q2, S (n x n each), then D, Z, DLAMDA, W (n each), RHO;
-    # dlaed3 copies up to K x K entries into S, more than its documented
-    # (N1 + 1) * K
-    flt = np.zeros(3 * nn + 4 * n + 1)
-    flt[: nn : n + 1] = 1.0
-    d = flt[3 * nn : 3 * nn + n]
+    ints[: n + 5] = merge.head
+    q.fill(0.0)
+    q.flat[:: n + 1] = 1.0
     np.multiply(lam, scale, out=d)
-    np.multiply(w, math.sqrt(2.0 / norm2), out=flt[3 * nn + n : 3 * nn + 2 * n])
-    flt[-1] = 0.5 * norm2 * scale
-    # integers: K, N, N1, LDQ, INFO, then INDXQ, INDX, INDXC, INDXP (n each)
-    # and COLTYP, into which dlaed2 writes 4 counts even when n < 4
-    ints = np.empty(5 + 4 * n + max(n, 4), dtype=np.int64)
-    ints[:5] = (0, n, n1, n, 0)
-    ints[5 : 5 + n] = np.arange(1, n + 1)
-    ints[5 + n1 : 5 + n] -= n1  # INDXQ: each half's own ascending order
-    f, i = flt.ctypes.data, ints.ctypes.data
-    K, N, N1, LDQ, INFO = i, i + 8, i + 16, i + 24, i + 32
-    INDXQ = i + 40
-    INDX, INDXC, INDXP, COLTYP = INDXQ + 8 * n, INDXQ + 16 * n, INDXQ + 24 * n, INDXQ + 32 * n
-    Q, Q2, S = f, f + 8 * nn, f + 16 * nn
-    D = f + 24 * nn
-    Z, DLAMDA, W, RHO = D + 8 * n, D + 16 * n, D + 24 * n, D + 32 * n
-    laed2(K, N, N1, D, Q, LDQ, INDXQ, RHO, Z, DLAMDA, W, Q2, INDX, INDXC, INDXP, COLTYP, INFO)
+    np.multiply(w, math.sqrt(2.0 / norm2), out=merge.z)
+    merge.flt[-1] = 0.5 * norm2 * scale
+    routines["dlaed2"](*merge.laed2_args)
     if ints[4] == 0 and ints[0] > 0:
-        laed3(K, N, N1, D, Q, LDQ, RHO, DLAMDA, Q2, INDXC, COLTYP, W, S, INFO)
+        routines["dlaed3"](*merge.laed3_args)
     if ints[4] != 0:
         return None
     # Fortran's column j of Q is row j here.
+    if ints[0] == n:
+        return d / scale, q.T
     order = d.argsort(kind="stable")
-    return d[order] / scale, flt[:nn].reshape(n, n)[order].T
+    return d[order] / scale, q[order].T
 
 
 def _pick(scores: np.ndarray, maximize: bool) -> int:

@@ -135,3 +135,39 @@ def calls(module: str, function: str) -> set[str]:
 )
 def test_blocks_come_from_linalgs_builder(module, function):
     assert "_fourier_block" in calls(module, function)
+
+
+# A module-level cache outlives every call that fills it: one of rank-one
+# merge workspaces keyed by order held a workspace for every order from 2
+# to n + 1 of a range state, more than twice the memory of an m = 1024 run.
+# selection's engines keep their state on the objects a call creates.
+IMMUTABLE_CALLS = {"float", "int", "frozenset", "tuple"}
+
+
+def binds_immutable(node) -> bool:
+    """Whether an expression bound at module level builds no mutable container."""
+    if isinstance(node, (ast.Constant, ast.Name, ast.Attribute)):
+        return True
+    if isinstance(node, ast.Tuple):
+        return all(binds_immutable(e) for e in node.elts)
+    if isinstance(node, ast.UnaryOp):
+        return binds_immutable(node.operand)
+    if isinstance(node, ast.BinOp):
+        return binds_immutable(node.left) and binds_immutable(node.right)
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in IMMUTABLE_CALLS
+
+
+def test_selection_keeps_no_module_level_container():
+    tree = ast.parse((PACKAGE / "selection.py").read_text())
+    bound = [
+        node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+    ]
+    assert bound and all(node.value is None or binds_immutable(node.value) for node in bound)
+    # nor a cache on a function or method, which is one by another name
+    decorators = [
+        ast.unparse(d)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for d in node.decorator_list
+    ]
+    assert not [d for d in decorators if "cache" in d], decorators

@@ -516,25 +516,33 @@ def seeded_fourier(i, m):
     return fourier_system(ef.GridSpectrum(m, cells))
 
 
-def full_state(sys, a):
-    """The greedy's eigen-state of a, decomposed afresh with all n columns."""
-    state = selection._EigState(sys)
-    state.lam, state.vecs = np.linalg.eigh(a)
-    return state
+def full_states(sys, a):
+    """The greedy's eigen-state of a, decomposed afresh, in both full-rank forms.
+
+    The first holds all n columns of U, the second the rows' projections
+    W = U* V^T on them, whatever form the engines take for sys.
+    """
+    lam, vecs = np.linalg.eigh(a)
+    basis, rows = selection._EigState(sys), selection._EigState(sys)
+    basis.lam = rows.lam = lam
+    basis._w, basis.vecs = None, vecs
+    rows._w, rows.vecs = vecs.conj().T @ sys.vectors.T, None
+    return basis, rows
 
 
 def replay_upper(sys, res):
-    """Check every logged upper step against the eigvalsh oracle."""
+    """Check every logged upper step, scored from U and from W, against the eigvalsh oracle."""
     a = np.zeros((sys.n, sys.n), dtype=complex)
     chosen = []
     for step in res.barrier_log:
-        feasible, phi = selection._upper_scores(full_state(sys, a), step.u)
         o_feasible, o_phi = oracle_upper_scores(a, sys.vectors, step.u)
         free = [i for i in range(sys.m) if i not in chosen]
-        assert list(feasible[free]) == list(o_feasible[free])
-        for i in free:
-            if o_feasible[i]:
-                assert math.isclose(phi[i], o_phi[i], rel_tol=1e-10)
+        for state in full_states(sys, a):
+            feasible, phi = selection._upper_scores(state, step.u)
+            assert list(feasible[free]) == list(o_feasible[free])
+            for i in free:
+                if o_feasible[i]:
+                    assert math.isclose(phi[i], o_phi[i], rel_tol=1e-10)
         assert_tie_rule({i: o_phi[i] for i in free if o_feasible[i]}, step.index, False)
         assert math.isclose(step.phi_u, o_phi[step.index], rel_tol=1e-10)
         v = sys.vectors[step.index]
@@ -846,18 +854,18 @@ class TestRankAwareState:
     def test_coincident_row_is_deflated(self, monkeypatch):
         # rows 1 and 5 are equal, so the second adds no direction
         monkeypatch.setattr(selection, "RANK_MIN_N", 1)
-        sys = fourier_system(ef.GridSpectrum(8, (0, 2, 4, 6)))
-        v1, v5 = sys.vectors[1], sys.vectors[5]
-        assert np.array_equal(v1, v5)
+        grid = fourier_system(ef.GridSpectrum(8, (0, 2, 4, 6)))
+        sys = ef.VectorSystem(np.vstack([grid.vectors, np.zeros(4)]))  # row 8 is zero
+        assert np.array_equal(sys.vectors[1], sys.vectors[5])
         state = selection._EigState(sys)
-        state.add(np.zeros(4, dtype=complex), 1.0)  # a zero row adds nothing
+        state.add(8, 1.0)  # a zero row adds nothing
         assert state.vecs.shape == (4, 0) and np.array_equal(state.lam, np.zeros(4))
-        state.add(v1, 1.0)
-        state.add(v5, 2.0)
+        state.add(1, 1.0)
+        state.add(5, 2.0)
         assert state.vecs.shape == (4, 1)
         assert np.array_equal(state.lam[:3], np.zeros(3))
         assert math.isclose(state.lam[3], 3.0 * 0.5, rel_tol=1e-14)
-        state.add(sys.vectors[2], 1.0)  # a new direction
+        state.add(2, 1.0)  # a new direction
         assert state.vecs.shape == (4, 2)
 
     def test_engines_take_the_deflation_branch(self, monkeypatch):
@@ -892,7 +900,7 @@ class TestRankAwareState:
         a = np.zeros((n, n), dtype=complex)
         for step, j in enumerate(rng.choice(m, n + 2, replace=False)):
             t = float(rng.uniform(0.5, 2.0))
-            state.add(sys.vectors[j], t)
+            state.add(j, t)
             a += t * np.outer(sys.vectors[j], sys.vectors[j].conj())
             vecs, lam = state.vecs, state.lam
             r = vecs.shape[1]
@@ -913,10 +921,100 @@ class TestRankAwareState:
             assert np.abs(state.forms(c) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_crossover(self):
+        # the range basis from RANK_MIN_N on; below it W where m < 3n, else U
         n0 = selection.RANK_MIN_N
-        for n, r in ((n0 - 1, n0 - 1), (n0, 0)):
-            sys = fourier_system(ef.GridSpectrum(2 * n, tuple(range(n))))
-            assert selection._EigState(sys).vecs.shape == (n, r)
+        for n, m, r in ((n0 - 1, 3 * n0 - 3, n0 - 1), (n0, 2 * n0, 0), (n0, 4 * n0, 0)):
+            state = selection._EigState(fourier_system(ef.GridSpectrum(m, tuple(range(n)))))
+            assert state._w is None and state.vecs.shape == (n, r)
+        grid = ef.GridSpectrum(3 * n0 - 4, tuple(range(n0 - 1)))
+        state = selection._EigState(fourier_system(grid))
+        assert state.vecs is None and state._w.shape == (n0 - 1, 3 * n0 - 4)
+
+
+def route_systems():
+    """Fourier and dense systems on each side of m = 3n, all below RANK_MIN_N.
+
+    The orders sit below and above LAED_MIN_N, so both rank-one solves run;
+    two Fourier systems have coincident rows.
+    """
+    cases = [
+        pytest.param(fourier_system(ef.GridSpectrum(8, (0, 2, 4, 6))), id="coincident-8"),
+        pytest.param(fourier_system(ef.GridSpectrum(64, EVEN_CELLS)), id="even-64"),
+    ]
+    for m, n in ((8, 3), (9, 3), (47, 16), (48, 16), (40, 24), (96, 24), (64, 60)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(101, m, n)))
+        cells = tuple(sorted(int(c) for c in rng.choice(m, n, replace=False)))
+        rows = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        cases += [
+            pytest.param(fourier_system(ef.GridSpectrum(m, cells)), id=f"fourier-{m}-{n}"),
+            pytest.param(ef.VectorSystem(rows), id=f"dense-{m}-{n}"),
+        ]
+    return cases
+
+
+def spectral_coefficients(lam, top):
+    """c_k = f(lam_k) for a complex f that is smooth on [0, top]."""
+    s = 1.0 + 2.0 * top
+    return 1.0 / (s - lam) + 1j / (s + lam) ** 2
+
+
+def seeded_adds(sys, count, entropy):
+    """(row, weight) pairs of a seeded run of adds; rows may repeat."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(entropy, sys.m, sys.n)))
+    return [(int(j), float(t)) for j, t in zip(rng.integers(0, sys.m, count),
+                                               rng.uniform(0.1, 10.0, count))]
+
+
+class TestFullRankRoutes:
+    """The eigen-state's full-rank forms, U and W, against a fresh dense eigh."""
+
+    @pytest.mark.parametrize("sys", route_systems())
+    def test_forms_match_fresh_eigh(self, sys):
+        m, n = sys.m, sys.n
+        state = selection._EigState(sys)
+        # the one choice of form: the row projections exactly when m < 3n
+        assert (state._w is not None) == (m < 3 * n) == (state.vecs is None)
+        a = np.zeros((n, n), dtype=complex)
+        for j, t in seeded_adds(sys, 2 * n, 103):
+            state.add(j, t)
+            v = sys.vectors[j]
+            a += t * np.outer(v, v.conj())
+            mu, u = np.linalg.eigh(a)
+            assert np.all(np.diff(state.lam) >= 0.0)
+            assert np.abs(state.lam - mu).max() <= 1e-12 * mu[-1]
+            f_a = (u * spectral_coefficients(mu, mu[-1])) @ u.conj().T
+            ref = np.einsum("ja,ab,jb->j", sys.vectors.conj(), f_a, sys.vectors)
+            got = state.forms(spectral_coefficients(state.lam, mu[-1]))
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [32, 80], ids=["rows", "basis"])
+    def test_states_advancing_alternately_match_lone_runs(self, m):
+        # two states of one order, each with its own merge workspace, advance
+        # in turn; each must take exactly the steps it takes alone
+        n = 20
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(107, m)))
+        systems = [
+            fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
+            for _ in range(2)
+        ]
+
+        def steps(sys, state, j, t):
+            state.add(j, t)
+            return state.lam.copy(), state.forms(spectral_coefficients(state.lam, state.lam[-1]))
+
+        runs = [seeded_adds(sys, 2 * n, 107 + i) for i, sys in enumerate(systems)]
+        alone = []
+        for sys, run in zip(systems, runs):
+            state = selection._EigState(sys)
+            alone.append([steps(sys, state, j, t) for j, t in run])
+        states = [selection._EigState(sys) for sys in systems]
+        assert (states[0]._w is not None) == (m < 3 * n)
+        assert states[0]._merge is not states[1]._merge
+        for k in range(2 * n):
+            for i, (sys, state) in enumerate(zip(systems, states)):
+                lam, forms = steps(sys, state, *runs[i][k])
+                assert np.array_equal(lam, alone[i][k][0])
+                assert np.array_equal(forms, alone[i][k][1])
 
 
 def solve_by(route, lam, w):
@@ -1027,6 +1125,23 @@ class TestRankOneRoutes:
             new_lam, new_vecs = eig_update(lam, vecs, np.zeros(n, dtype=complex), 2.0)
             assert np.array_equal(new_lam, lam) and np.array_equal(new_vecs, vecs)
             assert selection._laed_eigh(lam, np.zeros(n)) is None
+
+    @pytest.mark.parametrize("n", [2, 3, selection.LAED_MIN_N, 41])
+    def test_reused_workspace_matches_fresh_calls(self, n):
+        # one workspace, poisoned with nan and -1 first, serves every input
+        # as a fresh one does: each call resets all that the routines read
+        openblas_routines()
+        merge = selection._Merge(n)
+        merge.flt.fill(np.nan)
+        merge.ints.fill(-1)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(109, n)))
+        for kind in ("zero-start", "repeated", "zero-coordinates", "distinct"):
+            for lam_scale, w_scale in ((1e-8, 1.0), (1.0, 1e-3), (1e3, 1e3)):
+                lam, w = rank_one_input(rng, n, kind, lam_scale, w_scale)
+                ref_lam, ref_q = solve_by("laed", lam, w)
+                got = selection._laed_eigh(lam, w, merge)
+                assert got is not None
+                assert np.array_equal(got[0], ref_lam) and np.array_equal(got[1], ref_q)
 
     def test_lookup_not_found_takes_eigh(self, laed_unavailable):
         n = selection.LAED_MIN_N + 4
@@ -1272,7 +1387,7 @@ def laed4_floors(sys, chosen, free):
     """The dlaed4 route's floors of the free rows, from the engine's range state."""
     state = selection._EigState(sys, _range_only=True)
     for i in chosen:
-        state.add(sys.vectors[i], 1.0)
+        state.add(i, 1.0)
     r = state.vecs.shape[1]
     w2 = np.abs(state.vecs.T @ sys.vectors[free].conj().T) ** 2
     norm2 = np.sum(np.abs(sys.vectors[free]) ** 2, axis=1)
@@ -1434,16 +1549,16 @@ class TestWorkCount:
         tally["orders"] = []
         add = selection._EigState.add
 
-        def counting_add(state, v, t):
-            tally["closed"] += state.vecs.shape[1] == 0
-            return add(state, v, t)
+        def counting_add(state, j, t):
+            tally["closed"] += state._w is None and state.vecs.shape[1] == 0
+            return add(state, j, t)
 
         monkeypatch.setattr(selection._EigState, "add", counting_add)
         rank_one = selection._rank_one_eigh
         monkeypatch.setattr(
             selection,
             "_rank_one_eigh",
-            lambda lam, w: tally["orders"].append(lam.size) or rank_one(lam, w),
+            lambda lam, w, merge=None: tally["orders"].append(lam.size) or rank_one(lam, w, merge),
         )
 
         def counting(key, fn):
@@ -1455,8 +1570,8 @@ class TestWorkCount:
 
             return wrapped
 
-        def counting_laed(lam, w):
-            out = laed(lam, w)
+        def counting_laed(lam, w, merge=None):
+            out = laed(lam, w, merge)
             tally["laed"] += out is not None
             return out
 
