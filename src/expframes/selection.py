@@ -31,21 +31,21 @@ A has rank r < n, the state of the two-sided and upper engines from
 n = RANK_MIN_N on, and the Riesz engine's at every n, holds only an n x r
 basis of its range: the rank-one solve then has order r + 1, it and the
 rotation cost O(n r^2), and the packed product of rank r costs O(n^2 r),
-instead of O(n^3) each.  Below RANK_MIN_N, where m < 3n, the two-sided and
-upper engines' state holds the rows' projections W = U* V^T on the
-eigenvectors in place of U: a step updates W by one real n x n by n x 2m
-product and reads every score from |W|^2, O(m n^2) in all, which undercuts
-the O(n^3) of rotating U and packing a matrix exactly when m < 3n.  The
-Riesz engine reads its Gram's eigenvalues from that range,
-solves the floors of only the rows of largest bound and of those one
-quadratic-form pass cannot rule out, and picks as over all rows; it solves
-those screened floors one row per call of LAPACK's secular root finder
-dlaed4, from the same lookup, and an unscreened step's floors all at
-once by a vectorized numpy iteration.  The scores depend only on the
-spectral projections, not on eigenvector phases, and only steer the
-greedy.  Without W the engines read their scores as
-quadratic forms of one n x n matrix (VectorSystem.quad_forms), which only
-a grid system built by fourier_system evaluates with one FFT.  The
+instead of O(n^3) each.  The Riesz engine reads its Gram's eigenvalues from
+that range, solves the floors of only the rows of largest bound and of
+those one quadratic-form pass cannot rule out, and picks as over all rows;
+it solves those screened floors one row per call of LAPACK's secular root
+finder dlaed4, from the same lookup, and an unscreened step's floors all at
+once by a vectorized numpy iteration.  Below RANK_MIN_N, where m < 3n, the
+two-sided and upper engines' state holds the rows' projections W = U* V^T
+on the eigenvectors in place of U: a step updates W by one real n x n by
+n x 2m product and reads every score from |W|^2, O(m n^2) in all, which
+undercuts the O(n^3) of rotating U and packing a matrix exactly when
+m < 3n.  The scores depend only on the spectral projections, not on
+eigenvector phases, and only steer the greedy.  Without W the engines read
+their scores as quadratic forms of one n x n matrix
+(VectorSystem.quad_forms), which only a grid system built by
+fourier_system evaluates with one FFT.  The
 engines only select: they certify nothing, and the bounds of a built set
 are computed once, by expframes.verify.
 brute_force_best is the exhaustive oracle for small instances.
@@ -303,14 +303,15 @@ def bss_select(sys: VectorSystem, q: float) -> SelectionResult:
     imaginary parts of the quadratic forms of U diag(g_u + i g_l) U*.  A
     full-rank step costs one real rank-one solve (LAPACK's O(n^2) secular
     merge from order LAED_MIN_N on, else a dense eigh), then either, where
-    m >= 3n, the n x n rotation of U, the packed n x n product and
-    O(n^2 + m log m) on a Fourier grid system (8 n^3 + 4 n^3 flops in the
-    products), or, where m < 3n, the update of the projections W = U* V^T,
-    one real n x n by n x 2m product (4 m n^2 flops), and one real product
-    of |W|^2 with the coefficients.  While A has rank r < n (the first n
-    steps, from n = RANK_MIN_N on) the solve has order r + 1, the rotation
-    costs O(n r^2) and the packed product O(n^2 r).  The ratio guard reads
-    the loop's last eigenvalues; no bound is returned.
+    m >= 3n or n >= RANK_MIN_N, the n x n rotation of U, the packed n x n
+    product and O(n^2 + m log m) on a Fourier grid system (8 n^3 + 4 n^3
+    flops in the products), or, below RANK_MIN_N where m < 3n, the update
+    of the projections W = U* V^T, one real n x n by n x 2m product
+    (4 m n^2 flops), and one real product of |W|^2 with the coefficients.
+    While A has rank r < n (the first n steps, from n = RANK_MIN_N on) the
+    solve has order r + 1, the rotation costs O(n r^2) and the packed
+    product O(n^2 r).  The ratio guard reads the loop's last eigenvalues;
+    no bound is returned.
 
     Raises NoFeasibleCandidate if no index satisfies U <= L (a parameter or
     numerical fault; the engine never relaxes the condition silently), and
@@ -733,10 +734,10 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
 
     Per step every candidate is scored in closed form (_upper_scores) and
     the eigen-state of the running sum A (_EigState) is updated by the pick:
-    one real rank-one solve, then as in bss_select either, where m >= 3n,
-    two n x n products and O(n^2 + m log m) on a Fourier grid system
-    (O(n^2 m) on any other), or, where m < 3n, the n x n by n x 2m update
-    of W and one product of |W|^2, O(m n^2).  The k = n + 1 picks of a
+    one real rank-one solve, then as in bss_select either two n x n
+    products and O(n^2 + m log m) on a Fourier grid system (O(n^2 m) on
+    any other), or, below RANK_MIN_N where m < 3n, the n x n by n x 2m
+    update of W and one product of |W|^2, O(m n^2).  The k = n + 1 picks of a
     Bessel set leave A rank-deficient until the n-th, so from n = RANK_MIN_N
     on nearly every step has a solve of order r + 1 and products of rank r.
     """
@@ -832,10 +833,10 @@ class _EigState:
     and vecs is a view of them: the full-rank start is _rows = I, the range
     start an empty view.  A new basis vector takes the row above, and each
     update writes the rotated basis into those rows (or W into _w) through
-    _rank_one_update, so nothing is allocated or concatenated per step.  A
-    state that reaches order n solves at LAED_MIN_N and above owns the
-    workspace of its order-n rank-one merges (_Merge); the range state's
-    smaller orders take one per call.
+    _rank_one_update, so nothing is allocated or concatenated per step.
+    From order LAED_MIN_N on, the two-sided and upper engines' state owns
+    the workspace of its order-n rank-one merges (_Merge); a range basis's
+    merges of lower order, and the Riesz engine's, take one per call.
     """
 
     def __init__(self, sys: VectorSystem, _range_only: bool = False):

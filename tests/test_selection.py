@@ -998,7 +998,7 @@ class TestFullRankRoutes:
             for _ in range(2)
         ]
 
-        def steps(sys, state, j, t):
+        def step(state, j, t):
             state.add(j, t)
             return state.lam.copy(), state.forms(spectral_coefficients(state.lam, state.lam[-1]))
 
@@ -1006,13 +1006,13 @@ class TestFullRankRoutes:
         alone = []
         for sys, run in zip(systems, runs):
             state = selection._EigState(sys)
-            alone.append([steps(sys, state, j, t) for j, t in run])
+            alone.append([step(state, j, t) for j, t in run])
         states = [selection._EigState(sys) for sys in systems]
         assert (states[0]._w is not None) == (m < 3 * n)
         assert states[0]._merge is not states[1]._merge
         for k in range(2 * n):
-            for i, (sys, state) in enumerate(zip(systems, states)):
-                lam, forms = steps(sys, state, *runs[i][k])
+            for i, state in enumerate(states):
+                lam, forms = step(state, *runs[i][k])
                 assert np.array_equal(lam, alone[i][k][0])
                 assert np.array_equal(forms, alone[i][k][1])
 
