@@ -28,6 +28,8 @@ REQUESTS = {
     "sampling-m16": ["construct", "--spectrum", '{"m":16,"cells":[0,1,2,5]}', "--d", "1"],
     "sampling-m32": ["construct", "--spectrum", INTERVALS, "--m", "32", "--d", "0.5"],
     "sampling-m256": ["construct", "--spectrum", INTERVALS, "--m", "256", "--d", "1"],
+    # n = 88 >= RANK_MIN_N: the range basis merges at every order below n
+    "sampling-m512": ["construct", "--spectrum", INTERVALS, "--m", "512", "--d", "1"],
     # m < 3n: the full-rank greedies score from the rows' projections on the basis
     "sampling-m32-n28": [
         "construct", "--spectrum",
@@ -57,6 +59,7 @@ REQUESTS = {
         "construct", "--spectrum", '{"m":32,"cells":[0,3,9,17]}', "--mode", "bessel", "--k", "6",
     ],
     "bessel-m256": ["construct", "--spectrum", INTERVALS, "--m", "256", "--mode", "bessel"],
+    "bessel-m512": ["construct", "--spectrum", INTERVALS, "--m", "512", "--mode", "bessel"],
     "riesz-m16": [
         "construct", "--spectrum", '{"m":16,"cells":[0,1,2,3,8,9]}', "--mode", "riesz",
         "--d", "0.5",
