@@ -26,7 +26,8 @@ running sum A (_EigState) instead of decomposing A: the update is a real
 diagonal-plus-rank-one eigenproblem, solved by LAPACK's rank-one merge
 (dlaed2/dlaed3, secular equation and Gu-Eisenstat eigenvectors) from order
 LAED_MIN_N on where linalg._openblas_routines finds it, else by one dense
-real eigh; a range state's first term, into A = 0, is closed form.  While
+real eigh; a range state's first term, into A = 0, is closed form.  Each
+state runs all its merges, of every order, in one workspace.  While
 A has rank r < n, the state of the two-sided and upper engines from
 n = RANK_MIN_N on, and the Riesz engine's at every n, holds only an n x r
 basis of its range: the rank-one solve then has order r + 1, it and the
@@ -834,9 +835,9 @@ class _EigState:
     start an empty view.  A new basis vector takes the row above, and each
     update writes the rotated basis into those rows (or W into _w) through
     _rank_one_update, so nothing is allocated or concatenated per step.
-    From order LAED_MIN_N on, the two-sided and upper engines' state owns
-    the workspace of its order-n rank-one merges (_Merge); a range basis's
-    merges of lower order, and the Riesz engine's, take one per call.
+    From order LAED_MIN_N on, every engine's state owns one workspace of
+    LAPACK's rank-one merge (_Merge) of order n, in which all its merges
+    run, a range basis's of lower order included.
     """
 
     def __init__(self, sys: VectorSystem, _range_only: bool = False):
@@ -844,7 +845,7 @@ class _EigState:
         self.sys = sys
         self.lam = np.zeros(n)
         self._w = None
-        self._merge = _Merge(n) if n >= LAED_MIN_N and not _range_only else None
+        self._merge = _Merge(n) if n >= LAED_MIN_N else None
         if n >= RANK_MIN_N or _range_only:
             self._rows = np.empty((n, n), dtype=np.complex128)
             self.vecs = self._rows[n:].T
@@ -925,12 +926,11 @@ class _EigState:
             basis = rows[n - r :]
             self.vecs = basis.T
             z = np.concatenate(([rho], z))  # p* v / ||p|| = ||p||, p being orthogonal to U
-        merge = self._merge if r == n else None
-        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis, merge)
+        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis, self._merge)
 
 
 def _rank_one_update(
-    lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray, merge=None
+    lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray, merge
 ):
     """Eigenvalues of U diag(lam) U* + t vv* from lam, U = vecs and z = U* v.
 
@@ -938,12 +938,12 @@ def _rank_one_update(
     With the diagonal phase D = diag(z/|z|) (1 where z_k = 0), the sum is
     (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose middle
     factor is real symmetric.  _rank_one_eigh decomposes it into lam' and
-    Q, through merge (a _Merge of order k, or None), and U' = (U D) Q, one
-    real n x 2k product written into out, a C-contiguous k x n array, as
-    U'^T; out may be vecs^T itself, since the product reads a scaled copy
-    of U.  Returns lam', ascending.  z = 0 leaves lam and U unchanged: the
-    middle factor is then diag(lam), which the dense route decomposes
-    exactly.  The same product carries the row projections: with
+    Q, in merge (a _Merge of order k or more; None below LAED_MIN_N), and
+    U' = (U D) Q, one real n x 2k product written into out, a C-contiguous
+    k x n array, as U'^T; out may be vecs^T itself, since the product reads
+    a scaled copy of U.  Returns lam', ascending.  z = 0 leaves lam and U
+    unchanged: the middle factor is then diag(lam), which the dense route
+    decomposes exactly.  The same product carries the row projections: with
     vecs = W^T, z = conj(W[:, j]) and out = W, it writes Q^T D W, the
     projections on U' of the rows W projected on U.
     """
@@ -961,13 +961,13 @@ def _rank_one_update(
     return lam_new
 
 
-def _rank_one_eigh(lam: np.ndarray, w: np.ndarray, merge=None):
+def _rank_one_eigh(lam: np.ndarray, w: np.ndarray, merge):
     """Ascending eigenvalues and eigenvectors (columns) of diag(lam) + w w^T.
 
     lam must be ascending.  From LAED_MIN_N on, LAPACK's rank-one merge
-    (_laed_eigh, in merge's workspace where one is given) runs when numpy's
-    bundled OpenBLAS provides it and succeeds; otherwise, and below
-    LAED_MIN_N, a dense real eigh.
+    (_laed_eigh, in merge, a _Merge of order lam.size or more) runs when
+    numpy's bundled OpenBLAS provides it and succeeds; otherwise, and below
+    LAED_MIN_N, where merge may be None, a dense real eigh.
     """
     if lam.size >= LAED_MIN_N:
         out = _laed_eigh(lam, w, merge)
@@ -984,31 +984,29 @@ def _dense_eigh(lam: np.ndarray, w: np.ndarray):
 
 
 class _Merge:
-    """The workspace of LAPACK's rank-one merge (dlaed2/dlaed3) at one order n.
+    """The workspace of LAPACK's rank-one merge (dlaed2/dlaed3) up to order n.
 
     Floats: Q, Q2, S (n x n each), then D, Z, DLAMDA, W (n each) and RHO;
     dlaed3 copies up to K x K entries into S, more than its documented
     (N1 + 1) * K.  Integers: K, N, N1, LDQ, INFO, then INDXQ, INDX, INDXC,
     INDXP (n each) and COLTYP, into which dlaed2 writes 4 counts even when
     n < 4.  The routines' arguments are the buffers' addresses, taken once.
-    _laed_eigh resets what a call reads: Q to I, and K, INFO and INDXQ
-    (which dlaed2 overwrites) from head; every other entry is written by
-    the routines before they read it.  A workspace serves one caller at a
+    A merge of order k <= n uses each region's first k (k x k) entries, Q
+    as one contiguous k x k block: the layout of a workspace of order k.
+    _laed_eigh resets what a call reads: Q to I, K, N, N1, LDQ and INFO,
+    and INDXQ (which dlaed2 overwrites), each half ascending; every other
+    entry is written by the routines before they read it.  A workspace serves one caller at a
     time, and the eigenvectors _laed_eigh returns are a view of its Q, valid
     until its next call.
     """
 
     def __init__(self, n: int):
-        nn, n1 = n * n, n // 2
+        nn = n * n
         self.flt = np.empty(3 * nn + 4 * n + 1)
-        self.q = self.flt[:nn].reshape(n, n)
         self.d = self.flt[3 * nn : 3 * nn + n]
         self.z = self.flt[3 * nn + n : 3 * nn + 2 * n]
         self.ints = np.empty(5 + 4 * n + max(n, 4), dtype=np.int64)
-        self.head = np.empty(5 + n, dtype=np.int64)
-        self.head[:5] = (0, n, n1, n, 0)
-        self.head[5:] = np.arange(1, n + 1)
-        self.head[5 + n1 :] -= n1  # INDXQ: each half's own ascending order
+        self.ascending = np.arange(1, n + 1)  # each half of INDXQ is a prefix of it
         f, i = self.flt.ctypes.data, self.ints.ctypes.data
         K, N, N1, LDQ, INFO = i, i + 8, i + 16, i + 24, i + 32
         INDXQ = i + 40
@@ -1021,7 +1019,7 @@ class _Merge:
         self.laed3_args = (K, N, N1, D, Q, LDQ, RHO, DLAMDA, Q2, INDXC, COLTYP, W, S, INFO)
 
 
-def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: Optional[_Merge] = None):
+def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: _Merge):
     """diag(lam) + w w^T through LAPACK's rank-one merge, or None.
 
     This is the merge step of divide and conquer (dlaed1 without its
@@ -1036,9 +1034,9 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: Optional[_Merge] = None):
     ascending runs (kept, then deflated); with nothing deflated they are
     already ascending, else they are sorted with their vectors.
 
-    The call runs in merge, a _Merge of order n owned by the caller, or in
-    a workspace of its own; with merge, the eigenvectors are a view of its
-    Q.  The routines are read from _openblas_routines at every call.
+    The call runs in merge, a _Merge of order n or more owned by the
+    caller, and the eigenvectors are a view of its Q.  The routines are
+    read from _openblas_routines at every call.
     Returns None, for the dense route to take over, when _openblas_routines
     finds no library, n < 2, w is zero or not finite, or LAPACK reports
     INFO != 0.
@@ -1050,15 +1048,14 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: Optional[_Merge] = None):
     routines = _openblas_routines()
     if routines is None:
         return None
-    if merge is None:
-        merge = _Merge(n)
-    ints, q, d = merge.ints, merge.q, merge.d
+    n1, ints, q, d = n // 2, merge.ints, merge.flt[: n * n].reshape(n, n), merge.d[:n]
     scale = math.ldexp(1.0, -math.frexp(max(-float(lam[0]), float(lam[-1]), norm2))[1])
-    ints[: n + 5] = merge.head
+    ints[:5] = 0, n, n1, n, 0
+    ints[5 : 5 + n1], ints[5 + n1 : 5 + n] = merge.ascending[:n1], merge.ascending[: n - n1]
     q.fill(0.0)
     q.flat[:: n + 1] = 1.0
     np.multiply(lam, scale, out=d)
-    np.multiply(w, math.sqrt(2.0 / norm2), out=merge.z)
+    np.multiply(w, math.sqrt(2.0 / norm2), out=merge.z[:n])
     merge.flt[-1] = 0.5 * norm2 * scale
     routines["dlaed2"](*merge.laed2_args)
     if ints[4] == 0 and ints[0] > 0:

@@ -299,6 +299,47 @@ def test_builders_input_contract(g, d):
         assert riesz.bounds.lower >= ef.riesz_floor_constant(d) * n / m
 
 
+def translated(g, c):
+    return ef.GridSpectrum(g.m, tuple((r + c) % g.m for r in g.cells))
+
+
+def negated(g):
+    return ef.GridSpectrum(g.m, tuple(-r % g.m for r in g.cells))
+
+
+BUILDS = {
+    "sampling": lambda g, d: ef.build_sampling(g, d),
+    "bessel": lambda g, d: ef.build_bessel(g),
+    "riesz": lambda g, d: ef.build_riesz(g, d),
+}
+
+
+@st.composite
+def symmetric_requests(draw):
+    """(g, c, d): m <= 64 drawn, then a seeded request: n cells of Z_m, a
+    shift 0 < c < m and d in (0.05, 0.95)."""
+    m = draw(st.integers(min_value=2, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cells = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+    c, d = int(rng.integers(1, m)), float(rng.uniform(0.05, 0.95))
+    return ef.GridSpectrum(m, tuple(cells.tolist())), c, d
+
+
+@pytest.mark.parametrize("mode", sorted(BUILDS))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(symmetric_requests())
+def test_picks_invariant_under_translating_and_negating_the_cells(mode, request_case):
+    """Translating the cells by c multiplies row j of the Fourier system by
+    e^{2i pi jc/m}, and negating them conjugates every row (with its columns
+    reordered), so neither changes any row's outer product v v*: the picks,
+    which depend on the problem and not on rounding, must not move."""
+    g, c, d = request_case
+    build = BUILDS[mode]
+    picks = build(g, d).sampling_set.residues
+    assert build(translated(g, c), d).sampling_set.residues == picks
+    assert build(negated(g), d).sampling_set.residues == picks
+
+
 class TestExhaustGeneral:
     def test_dyadic_interval_exact_at_every_stage(self):
         s = ef.IntervalSet(((0.0, math.pi),))

@@ -765,10 +765,11 @@ def eig_update(lam, vecs, v, t):
     """(lam', U') of U diag(lam) U* + t vv* with U = vecs, by _rank_one_update.
 
     U' is written over a copy of U^T that is also the U the update reads, as
-    _EigState.add does at full rank.
+    _EigState.add does at full rank, and the merge runs in a fresh workspace.
     """
     rows = np.ascontiguousarray(vecs.T)
-    new_lam = selection._rank_one_update(lam, rows.T, (v.conj() @ rows.T).conj(), t, rows)
+    z = (v.conj() @ rows.T).conj()
+    new_lam = selection._rank_one_update(lam, rows.T, z, t, rows, selection._Merge(lam.size))
     return new_lam, rows.T
 
 
@@ -1018,8 +1019,14 @@ class TestFullRankRoutes:
 
 
 def solve_by(route, lam, w):
-    """A route's decomposition of diag(lam) + w w^T; the LAPACK route must not refuse."""
-    out = selection._laed_eigh(lam, w) if route == "laed" else selection._dense_eigh(lam, w)
+    """A route's decomposition of diag(lam) + w w^T; the LAPACK route must not refuse.
+
+    The LAPACK route runs in a fresh workspace of lam's order.
+    """
+    if route == "laed":
+        out = selection._laed_eigh(lam, w, selection._Merge(lam.size))
+    else:
+        out = selection._dense_eigh(lam, w)
     assert out is not None
     return out
 
@@ -1104,7 +1111,7 @@ class TestRankOneRoutes:
             "rng = np.random.default_rng(0)\n"
             "for _ in range(2000):\n"
             f"    lam, w = np.sort(rng.normal(size={n})), rng.normal(size={n})\n"
-            "    new_lam, q = selection._laed_eigh(lam, w)\n"
+            f"    new_lam, q = selection._laed_eigh(lam, w, selection._Merge({n}))\n"
             "    ref = np.diag(lam) + np.outer(w, w)\n"
             "    assert np.abs((q * new_lam) @ q.T - ref).max() <= 1e-13 * np.abs(ref).max()\n"
             "print('ok')\n"
@@ -1124,31 +1131,38 @@ class TestRankOneRoutes:
         for lam in (np.sort(rng.random(n)), np.sort(rng.choice([0.0, 1.0], n))):
             new_lam, new_vecs = eig_update(lam, vecs, np.zeros(n, dtype=complex), 2.0)
             assert np.array_equal(new_lam, lam) and np.array_equal(new_vecs, vecs)
-            assert selection._laed_eigh(lam, np.zeros(n)) is None
+            assert selection._laed_eigh(lam, np.zeros(n), selection._Merge(n)) is None
 
-    @pytest.mark.parametrize("n", [2, 3, selection.LAED_MIN_N, 41])
-    def test_reused_workspace_matches_fresh_calls(self, n):
-        # one workspace, poisoned with nan and -1 first, serves every input
-        # as a fresh one does: each call resets all that the routines read
+    @pytest.mark.parametrize(
+        "orders",
+        [(2,), (3,), (selection.LAED_MIN_N,), (41,), (2, 3, 16, 40, 41, 17, 2)],
+        ids=["2", "3", str(selection.LAED_MIN_N), "41", "orders-2-to-41"],
+    )
+    def test_reused_workspace_matches_fresh_calls(self, orders):
+        # one workspace of the largest order, poisoned with nan and -1 first,
+        # serves every input, of any order up to its own, as a fresh one of
+        # the input's order does: each call resets all that the routines read
         openblas_routines()
-        merge = selection._Merge(n)
+        merge = selection._Merge(max(orders))
         merge.flt.fill(np.nan)
         merge.ints.fill(-1)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(109, n)))
-        for kind in ("zero-start", "repeated", "zero-coordinates", "distinct"):
-            for lam_scale, w_scale in ((1e-8, 1.0), (1.0, 1e-3), (1e3, 1e3)):
-                lam, w = rank_one_input(rng, n, kind, lam_scale, w_scale)
-                ref_lam, ref_q = solve_by("laed", lam, w)
-                got = selection._laed_eigh(lam, w, merge)
-                assert got is not None
-                assert np.array_equal(got[0], ref_lam) and np.array_equal(got[1], ref_q)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(109, *orders)))
+        for n in orders:
+            for kind in ("zero-start", "repeated", "zero-coordinates", "distinct"):
+                for lam_scale, w_scale in ((1e-8, 1.0), (1.0, 1e-3), (1e3, 1e3)):
+                    lam, w = rank_one_input(rng, n, kind, lam_scale, w_scale)
+                    ref_lam, ref_q = solve_by("laed", lam, w)
+                    got = selection._laed_eigh(lam, w, merge)
+                    assert got is not None
+                    assert np.array_equal(got[0], ref_lam) and np.array_equal(got[1], ref_q)
 
     def test_lookup_not_found_takes_eigh(self, laed_unavailable):
         n = selection.LAED_MIN_N + 4
         lam, w = rank_one_input(np.random.default_rng(3), n, "distinct", 1.0, 1.0)
         assert linalg._openblas_routines() is None
-        assert selection._laed_eigh(lam, w) is None
-        got, ref = selection._rank_one_eigh(lam, w), selection._dense_eigh(lam, w)
+        assert selection._laed_eigh(lam, w, selection._Merge(n)) is None
+        got = selection._rank_one_eigh(lam, w, selection._Merge(n))
+        ref = selection._dense_eigh(lam, w)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("failing", ["dlaed2", "dlaed3"])
@@ -1159,8 +1173,9 @@ class TestRankOneRoutes:
         monkeypatch.setitem(openblas_routines(), failing, info_one)
         n = selection.LAED_MIN_N + 4
         lam, w = rank_one_input(np.random.default_rng(5), n, "distinct", 1.0, 1.0)
-        assert selection._laed_eigh(lam, w) is None
-        got, ref = selection._rank_one_eigh(lam, w), selection._dense_eigh(lam, w)
+        assert selection._laed_eigh(lam, w, selection._Merge(n)) is None
+        got = selection._rank_one_eigh(lam, w, selection._Merge(n))
+        ref = selection._dense_eigh(lam, w)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_fast_route_taken_from_the_crossover(self, monkeypatch):
@@ -1526,6 +1541,12 @@ def solve_orders(sys, log):
     return [int(np.linalg.matrix_rank(sys.vectors[picks[: s + 1]])) for s in range(1, len(picks))]
 
 
+def seeded_system(m, n):
+    """The Fourier system of n seeded random cells of Z_m."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(113, m, n)))
+    return fourier_system(ef.GridSpectrum(m, tuple(sorted(rng.choice(m, n, replace=False)))))
+
+
 class TestWorkCount:
     """Decompositions per call, counted instead of timed.
 
@@ -1534,7 +1555,9 @@ class TestWorkCount:
     (_EigState.add), through whichever route ran: LAPACK's rank-one merge
     ("laed", counted when it returns a result) or a real eigh; no loop
     makes a complex eigh call.  A pick into an empty state, A = 0, is
-    decomposed in closed form instead ("closed").  While the running sum
+    decomposed in closed form instead ("closed").  Each eigen-state of order
+    LAED_MIN_N or more builds one merge workspace ("workspaces"), in which
+    all its merges run, and no other workspace is built.  While the running sum
     has rank r < n (from RANK_MIN_N on, and at every n in the Riesz loop),
     the solve has order r + 1, or r when the pick adds no direction; at
     full rank, and below RANK_MIN_N, it has order n.  The engines certify
@@ -1544,7 +1567,8 @@ class TestWorkCount:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        keys = ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "closed", "steps")
+        keys = ("eig", "eigh", "eigh_real", "eigh_complex", "eigvalsh", "laed", "closed", "steps",
+                "workspaces")
         tally = dict.fromkeys(keys + ("runs",), 0)
         tally["orders"] = []
         add = selection._EigState.add
@@ -1558,7 +1582,7 @@ class TestWorkCount:
         monkeypatch.setattr(
             selection,
             "_rank_one_eigh",
-            lambda lam, w, merge=None: tally["orders"].append(lam.size) or rank_one(lam, w, merge),
+            lambda lam, w, merge: tally["orders"].append(lam.size) or rank_one(lam, w, merge),
         )
 
         def counting(key, fn):
@@ -1570,7 +1594,7 @@ class TestWorkCount:
 
             return wrapped
 
-        def counting_laed(lam, w, merge=None):
+        def counting_laed(lam, w, merge):
             out = laed(lam, w, merge)
             tally["laed"] += out is not None
             return out
@@ -1585,7 +1609,35 @@ class TestWorkCount:
             )
         monkeypatch.setattr(selection, "_upper_scores", counting("steps", selection._upper_scores))
         monkeypatch.setattr(selection, "_upper_run", counting("runs", selection._upper_run))
+        monkeypatch.setattr(selection, "_Merge", counting("workspaces", selection._Merge))
         return tally
+
+    @pytest.mark.parametrize("engine", ["riesz", "two-sided", "upper"])
+    def test_one_workspace_serves_every_merge_order(self, counts, engine):
+        # the Riesz state merges at orders 2..24, the others' range states at
+        # 2..n and then n: every merge from LAED_MIN_N on runs in the one
+        # workspace of order n that the state built
+        if engine == "riesz":
+            sys = seeded_system(256, 32)
+            ef.rit_select(sys, 0.25)
+        elif engine == "two-sided":
+            sys = seeded_system(4 * selection.RANK_MIN_N, selection.RANK_MIN_N)
+            ef.bss_select(sys, 2.0)
+        else:
+            sys = seeded_system(4 * selection.RANK_MIN_N, selection.RANK_MIN_N)
+            ef.upper_select(sys, sys.n + 1)
+            assert counts["runs"] == 1
+        orders = counts["orders"]
+        assert min(orders) < selection.LAED_MIN_N and max(orders) > selection.LAED_MIN_N
+        assert counts["laed"] == sum(k >= selection.LAED_MIN_N for k in orders)
+        assert counts["workspaces"] == 1
+
+    def test_no_workspace_below_the_merge_order(self, counts):
+        sys = seeded_system(64, selection.LAED_MIN_N - 1)
+        ef.rit_select(sys, 0.25)
+        ef.bss_select(sys, 2.0)
+        ef.upper_select(sys, sys.n + 1)
+        assert counts["orders"] and counts["laed"] == counts["workspaces"] == 0
 
     @pytest.mark.parametrize("case", ["fourier", "restart"])
     def test_upper_select(self, counts, case):

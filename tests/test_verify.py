@@ -152,6 +152,30 @@ def test_duality_exact_identity_random(m, seed):
     assert rep.factor_two_pass
 
 
+@st.composite
+def translated_sets(draw):
+    """(g, J, c): m <= 64 drawn, then seeded cells, residue set and shift 0 < c < m."""
+    m = draw(st.integers(min_value=2, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cells, residues = (rng.choice(m, int(rng.integers(1, m + 1)), replace=False) for _ in "gJ")
+    g, lam = ef.GridSpectrum(m, tuple(cells.tolist())), ef.SamplingSet(m, tuple(residues.tolist()))
+    return g, lam, int(rng.integers(1, m))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(translated_sets())
+def test_sampling_bounds_invariant_under_translating_the_set(case):
+    # J + c multiplies the column of cell r by e^{2i pi cr/m}, a unitary
+    # diagonal that leaves the Gram's eigenvalues unchanged; their rounding
+    # scales with the Gram's norm, the upper bound
+    g, lam, c = case
+    shifted = ef.SamplingSet(lam.m, tuple((j + c) % lam.m for j in lam.residues))
+    a, b = ef.sampling_bounds(g, lam), ef.sampling_bounds(g, shifted)
+    assert abs(a.lower - b.lower) <= 1e-12 * a.upper
+    assert abs(a.upper - b.upper) <= 1e-12 * a.upper
+    assert a.density == b.density
+
+
 class TestQuadratureOracle:
     def test_full_circle_orthonormality(self):
         g = ef.gram_quadrature_oracle(ef.IntervalSet(((0.0, TWO_PI),)), range(5))
