@@ -1557,7 +1557,7 @@ class TestWorkCount:
     makes a complex eigh call.  A pick into an empty state, A = 0, is
     decomposed in closed form instead ("closed").  Each eigen-state of order
     LAED_MIN_N or more builds one merge workspace ("workspaces"), in which
-    all its merges run, and no other workspace is built.  While the running sum
+    all its merges run; no other is built.  While the running sum
     has rank r < n (from RANK_MIN_N on, and at every n in the Riesz loop),
     the solve has order r + 1, or r when the pick adds no direction; at
     full rank, and below RANK_MIN_N, it has order n.  The engines certify
@@ -1612,32 +1612,35 @@ class TestWorkCount:
         monkeypatch.setattr(selection, "_Merge", counting("workspaces", selection._Merge))
         return tally
 
-    @pytest.mark.parametrize("engine", ["riesz", "two-sided", "upper"])
-    def test_one_workspace_serves_every_merge_order(self, counts, engine):
+    RUNS = {
+        "riesz": lambda sys: ef.rit_select(sys, 0.25),
+        "two-sided": lambda sys: ef.bss_select(sys, 2.0),
+        "upper": lambda sys: ef.upper_select(sys, sys.n + 1),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    @pytest.mark.parametrize("small", [False, True], ids=["merging", "below-merge-order"])
+    def test_one_workspace_serves_every_merge_order(self, counts, engine, small):
         # the Riesz state merges at orders 2..24, the others' range states at
         # 2..n and then n: every merge from LAED_MIN_N on runs in the one
-        # workspace of order n that the state built
-        if engine == "riesz":
+        # workspace of order n that the state built.  Below LAED_MIN_N no
+        # merge runs, and no workspace is built.
+        n0 = selection.LAED_MIN_N
+        if small:
+            sys = seeded_system(64, n0 - 1)
+        elif engine == "riesz":
             sys = seeded_system(256, 32)
-            ef.rit_select(sys, 0.25)
-        elif engine == "two-sided":
-            sys = seeded_system(4 * selection.RANK_MIN_N, selection.RANK_MIN_N)
-            ef.bss_select(sys, 2.0)
         else:
             sys = seeded_system(4 * selection.RANK_MIN_N, selection.RANK_MIN_N)
-            ef.upper_select(sys, sys.n + 1)
-            assert counts["runs"] == 1
+        self.RUNS[engine](sys)
         orders = counts["orders"]
-        assert min(orders) < selection.LAED_MIN_N and max(orders) > selection.LAED_MIN_N
-        assert counts["laed"] == sum(k >= selection.LAED_MIN_N for k in orders)
-        assert counts["workspaces"] == 1
-
-    def test_no_workspace_below_the_merge_order(self, counts):
-        sys = seeded_system(64, selection.LAED_MIN_N - 1)
-        ef.rit_select(sys, 0.25)
-        ef.bss_select(sys, 2.0)
-        ef.upper_select(sys, sys.n + 1)
-        assert counts["orders"] and counts["laed"] == counts["workspaces"] == 0
+        assert counts["runs"] <= 1  # no restart of the upper greedy
+        assert counts["laed"] == sum(k >= n0 for k in orders)
+        if small:
+            assert orders and counts["workspaces"] == 0
+        else:
+            assert min(orders) < n0 < max(orders)
+            assert counts["workspaces"] == 1
 
     @pytest.mark.parametrize("case", ["fourier", "restart"])
     def test_upper_select(self, counts, case):

@@ -157,7 +157,8 @@ def translated_sets(draw):
     """(g, J, c): m <= 64 drawn, then seeded cells, residue set and shift 0 < c < m."""
     m = draw(st.integers(min_value=2, max_value=64))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    cells, residues = (rng.choice(m, int(rng.integers(1, m + 1)), replace=False) for _ in "gJ")
+    cells = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+    residues = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
     g, lam = ef.GridSpectrum(m, tuple(cells.tolist())), ef.SamplingSet(m, tuple(residues.tolist()))
     return g, lam, int(rng.integers(1, m))
 
