@@ -69,6 +69,14 @@ REQUESTS = {
     "riesz-m256-screened": [
         "construct", "--spectrum", INTERVALS, "--m", "256", "--mode", "riesz", "--d", "0.25",
     ],
+    # the first rows whose screened steps merge and deflate poles in _laed4_floors
+    "riesz-m512-screened": [
+        "construct", "--spectrum", INTERVALS, "--m", "512", "--mode", "riesz", "--d", "0.25",
+    ],
+    "riesz-m128-every-4th": [
+        "construct", "--spectrum", json.dumps({"m": 128, "cells": list(range(0, 128, 4))}),
+        "--mode", "riesz", "--d", "0.25",
+    ],
     "exhaust": [
         "exhaust", "--spectrum", INTERVALS, "--d", "1", "--schedule", "16,32,64", "--format", "json",
     ],
