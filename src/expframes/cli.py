@@ -288,13 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # No prefix matching: an option a subcommand lacks must not pass as one it has.
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_common(p, grid_order=True, residues=False):
+    def add_common(p, grid_order=True, residues=False, fmt="json"):
+        # fmt: the --format default; None where the command has one output format
         p.add_argument("--spectrum", required=True,
                        help="inline JSON or path; grid or interval descriptor")
         if grid_order:
             p.add_argument("--m", type=int, default=None,
                            help="grid order used to quantize an interval spectrum")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
         if residues:
             p.add_argument("--residues", required=True, help="comma-separated residues")
 
@@ -310,16 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_dua = add_parser("duality", help="sampling vs complement-Riesz bound check")
-    add_common(p_dua, residues=True)
+    add_common(p_dua, residues=True, fmt=None)
     p_dua.set_defaults(func=cmd_duality)
 
     p_exh = add_parser("exhaust", help="stagewise constructions over a schedule")
-    add_common(p_exh, grid_order=False)
+    add_common(p_exh, grid_order=False, fmt="csv")
     p_exh.add_argument("--d", type=float, default=None, help="sampling mode only (default 1)")
     p_exh.add_argument("--mode", choices=("sampling", "bessel"), default="sampling")
     p_exh.add_argument("--schedule", required=True, help='grid orders, e.g. "16,32,64"')
     p_exh.set_defaults(func=cmd_exhaust)
-    p_exh.set_defaults(format="csv")
 
     p_swp = add_parser("sweep", help="bound-vs-density grid for plotting")
     p_swp.add_argument("--m-list", required=True, help='e.g. "32,64"')

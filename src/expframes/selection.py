@@ -456,8 +456,9 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     selection shares A's nonzero eigenvalues lam, so a free row's floor is
     the lowest root of its secular equation (_riesz_floors) with weights
     lam |U* v_i|^2, started at the least upper bound of that floor known
-    from earlier steps.  Once the free rows are more than twice RIT_BATCH
-    and, times the rank, reach RIT_WORK, _rit_floors solves only the
+    from earlier steps; each step picks from that one array of m bounds,
+    which _rit_floors tightens.  Once the free rows are more than twice
+    RIT_BATCH and, times the rank, reach RIT_WORK, it solves only the
     RIT_BATCH rows of largest bound and the few that one quadratic-form pass
     cannot rule out of the tie band, each by one call of LAPACK's dlaed4
     (_laed4_floors; the vectorized solver where there is no OpenBLAS); the
@@ -482,25 +483,24 @@ def rit_select(sys: VectorSystem, d: float) -> SelectionResult:
     # rows are added (Cauchy interlacing), so any earlier bound still holds.
     stale = norm2.copy()
     state = _EigState(sys, _range_only=True)
-    chosen: list[int] = []
     log: list[BarrierStep] = []
     for step in range(k):
-        floors = norm2 if step == 0 else _rit_floors(state, step, stale, norm2, vectors_c)
-        best = _pick(floors, maximize=True)
-        floor = float(floors[best])
+        if step:
+            _rit_floors(state, step, stale, norm2, vectors_c)
+        best = _pick(stale, maximize=True)
+        floor = float(stale[best])
         stale[best] = -np.inf
-        chosen.append(best)
         state.add(best, 1.0)
         lam = state.lam
         lam_min = float(lam[n - step - 1])  # A has rank step + 1
         log.append(BarrierStep(None, floor, None, None, best, 1.0, lam_min, float(lam[-1])))
-    return SelectionResult(tuple(sorted(chosen)), tuple(log))
+    return SelectionResult(tuple(sorted(step.index for step in log)), tuple(log))
 
 
 def _rit_floors(
     state: _EigState, step: int, stale: np.ndarray, norm2: np.ndarray, vectors_c: np.ndarray
-) -> np.ndarray:
-    """Floors of all m rows after step picks; -inf for picked and screened-out rows.
+) -> None:
+    """Write into stale, in place, every floor the pick after step picks can read.
 
     state holds A = sum_{j in J} v_j v_j* on its range, of rank r = step:
     the rows of a Parseval system span C^n, so while fewer than n are
@@ -509,8 +509,11 @@ def _rit_floors(
     0, i.e. a pick in the span of earlier ones.  The Gram of J shares A's r
     nonzero eigenvalues lam, and row i's secular weights on them are
     w2 = lam |U* v_i|^2.  stale holds an upper bound of every free row's
-    floor (-inf for picked rows); the vectorized solves start from it, and
-    every solve tightens the bounds in place.
+    floor (-inf for picked rows); the vectorized solves start from it.  On
+    return it holds the floor of every row solved, and every free row left
+    unsolved holds a bound below thr = top - TIE_RTOL |top|, top the best
+    floor of the screen's batch (below).  The pick relies on that: _pick's
+    band over stale starts at thr or above, so no unsolved row enters it.
 
     Routes: without a screen every free row is solved at once by the
     vectorized _riesz_floors, started at its bound.  With more than 2
@@ -519,21 +522,18 @@ def _rit_floors(
     (_laed4_floors), which needs no start; a BLAS without dlaed4, or a call
     that reports INFO != 0, sends those rows to _riesz_floors instead.
 
-    The screen: the RIT_BATCH rows of largest bound are solved first; let
-    thr = best - TIE_RTOL |best|, the least floor of the tie band or below
-    it.  When every other row's bound is under thr, no other row is solved.
-    Otherwise, with thr between 0 and lam_1, one quadratic-form pass gives
-    f_i(thr) = rho2_i - thr - v_i* N v_i, N = U diag(lam/(lam - thr)) U*, for
-    every row.  A floor reaches thr exactly when f_i(thr) >= 0, f being
+    The screen: the RIT_BATCH rows of largest bound are solved first.  When
+    every other row's bound is under thr, no other row is solved, and with
+    thr outside (0, lam_1) every one is.  Otherwise one quadratic-form pass
+    gives f_i(thr) = rho2_i - thr - v_i* N v_i, N = U diag(lam/(lam - thr))
+    U*, for every row.  A floor reaches thr exactly when f_i(thr) >= 0, f being
     decreasing below lam_1, so only rows with f_i(thr) >= -err are solved.
     err bounds the pass's rounding: N's entries reach max lam/(lam - thr),
     and v_i* N v_i sums n^2 of them, each rounded over r terms and then
-    through an FFT of length m (or the dense sum).  Either way every row
-    left out lies below thr, outside the tie band of the best floor, so the
-    pick is the one of all floors.  The same pass gives f_i'(thr); f is concave, so its
-    tangent at thr meets zero at or above the floor, which bounds the rows
-    left out.  Where every free row is solved, the floors are written into
-    stale and stale itself is returned.
+    through an FFT of length m (or the dense sum).  The same pass gives
+    f_i'(thr); f is concave, so its tangent at thr meets zero at or above
+    the floor, which lies below thr for every row left out: that root, or
+    the float below thr where it rounds up to thr, becomes the row's bound.
     """
     sys = state.sys
     basis = state.vecs.T
@@ -552,22 +552,19 @@ def _rit_floors(
         stale[rows] = floors
         return floors
 
-    if m - step <= 2 * RIT_BATCH or (m - step) * r < RIT_WORK:
+    screen = m - step > 2 * RIT_BATCH and (m - step) * r >= RIT_WORK
+    if screen:
+        batch = np.argpartition(stale, m - RIT_BATCH)[m - RIT_BATCH :]
+        # every row outside the batch is bounded by the batch's least bound
+        bound = float(stale[batch].min())
+        best = solve(batch, screened=True)
+        top = float(best.max())
+        thr = top - TIE_RTOL * abs(top)
+        if bound < thr:
+            return
+    if not (screen and 0.0 < thr < lam[0]):
         solve(np.flatnonzero(stale > -np.inf))
-        return stale
-    batch = np.argpartition(stale, m - RIT_BATCH)[m - RIT_BATCH :]
-    # every row outside the batch is bounded by the batch's least bound
-    bound = float(stale[batch].min())
-    best = solve(batch, screened=True)
-    floors = np.full(m, -np.inf)
-    floors[batch] = best
-    top = float(best.max())
-    thr = top - TIE_RTOL * abs(top)
-    if bound < thr:
-        return floors
-    if not 0.0 < thr < lam[0]:
-        solve(np.flatnonzero(stale > -np.inf))
-        return stale
+        return
     # gain = lam/(lam - thr) and gain/(lam - thr) decrease with lam, so the
     # first of each is the largest.  f_i'(thr) = -1 - v_i* U diag(gain/(lam -
     # thr)) U* v_i comes from the same pass, its coefficients scaled by
@@ -580,14 +577,15 @@ def _rit_floors(
     rest = f >= 0.0
     rest[batch] = False
     # rows screened out (f < 0 here) take the root of f's tangent at thr,
-    # with rounding on the safe side: f is concave, so it bounds the floor
+    # with rounding on the safe side: f is concave, so it bounds the floor,
+    # which lies below thr; a root that rounds up to thr is set just below it
     np.minimum(stale, thr + f / (1.0 + inv[0] * (forms.imag + err)), out=stale)
-    stale[batch] = floors[batch]
+    stale[~rest & (stale >= thr)] = np.nextafter(thr, -np.inf)
+    stale[batch] = best
     rest &= stale > -np.inf
     rest = np.flatnonzero(rest)
     if rest.size:
-        floors[rest] = solve(rest, screened=True)
-    return floors
+        solve(rest, screened=True)
 
 
 def _laed4_floors(lam: np.ndarray, w2: np.ndarray, rho2: np.ndarray) -> Optional[np.ndarray]:
@@ -764,14 +762,14 @@ def upper_select(sys: VectorSystem, k: int) -> SelectionResult:
 
 
 def _upper_scores(state: _EigState, u_next: float):
-    """Feasibility and post-step upper potential of every candidate at once.
+    """Post-step upper potential of every row at once; inf where infeasible.
 
     state decomposes the running sum A, and u_next must exceed lam_max(A).
     With q1 = v*(u'-A)^-1 v and q2 = v*(u'-A)^-2 v, adding vv* keeps
     lambda_max under u' iff q1 < 1, and by Sherman-Morrison the new
     potential is sum 1/(u'-lam) + q2/(1-q1) (the BSS lemma).  Both forms are
-    one state.forms call with c = g + i g^2, g = 1/(u'-lam).
-    Returns (feasible, phi) with phi = inf where infeasible.
+    one state.forms call with c = g + i g^2, g = 1/(u'-lam).  Returns phi
+    (m,), finite exactly on the feasible rows.
     """
     inv = 1.0 / (u_next - state.lam)
     forms = state.forms(inv + 1j * inv**2)
@@ -779,28 +777,28 @@ def _upper_scores(state: _EigState, u_next: float):
     feasible = q1 < 1.0
     phi = np.full(q1.shape, np.inf)
     phi[feasible] = float(inv.sum()) + q2[feasible] / (1.0 - q1[feasible])
-    return feasible, phi
+    return phi
 
 
 def _upper_run(sys: VectorSystem, k: int, u0: float):
     """One upper-barrier pass from u0.
 
-    Returns its BarrierSteps, or None when a step has no feasible candidate.
+    Each step scores the rows already used inf, as infeasible ones are, and
+    picks over all m.  Returns the BarrierSteps, or None when no score is finite.
     """
     delta = u0 / k
     u = u0
     state = _EigState(sys)  # A = 0
-    free = np.ones(sys.m, dtype=bool)
+    used = np.empty(k, dtype=np.intp)
     log: list[BarrierStep] = []
-    for _ in range(k):
+    for step in range(k):
         u_next = u + delta
-        feasible, phi = _upper_scores(state, u_next)
-        cand = np.flatnonzero(feasible & free)
-        pos = _pick(phi[cand], maximize=False)
-        if pos < 0:
+        phi = _upper_scores(state, u_next)
+        phi[used[:step]] = np.inf
+        best = _pick(phi, maximize=False)
+        if phi[best] == np.inf:
             return None
-        best = int(cand[pos])
-        free[best] = False
+        used[step] = best
         u = u_next
         state.add(best, 1.0)
         lam = state.lam
@@ -883,20 +881,21 @@ class _EigState:
     def add(self, j: int, t: float) -> None:
         """Update the state to A + t v_j v_j* (t > 0) for row j of the system.
 
-        At full rank this is one _rank_one_update: on z = U* v_j, or on
-        conj(W[:, j]) for W, which the update then carries as
+        At full rank this is one _rank_one_update of U^T (all of _rows), on
+        z = U* v_j, or of W, on conj(W[:, j]), which it then carries as
         W' = Q^T diag(conj(z/|z|)) W.  From A = 0 it is closed form: the
         eigenvalue t ||v||^2 with eigenvector v / ||v||.  Otherwise v's
         residual p outside the range (projected twice, as in classical
         Gram-Schmidt) becomes a new basis vector with eigenvalue 0 before
-        the rank-one solve, which then runs on r + 1 columns.  The residual
+        the rank-one solve, which then runs on r + 1 columns, the basis rows
+        of _rows.  The residual
         is dropped instead when its terms in A + t vv*, t ||v|| ||p|| at
         most, are below the rounding of A's eigenvalues by dlaed2's
         deflation test, 8 eps times the larger of lam_max and t ||v||^2.
         """
         w = self._w
         if w is not None:
-            self.lam = _rank_one_update(self.lam, w.T, w[:, j].conj(), t, w, self._merge)
+            self.lam = _rank_one_update(self.lam, w, w[:, j].conj(), t, self._merge)
             return
         v = self.sys.vectors[j]
         vecs = self.vecs
@@ -904,7 +903,7 @@ class _EigState:
         rows = self._rows
         if r == n:
             z = (v.conj() @ vecs).conj()
-            self.lam = _rank_one_update(self.lam, vecs, z, t, rows, self._merge)
+            self.lam = _rank_one_update(self.lam, rows, z, t, self._merge)
             return
         v2 = np.vdot(v, v).real
         if r == 0:
@@ -926,26 +925,24 @@ class _EigState:
             basis = rows[n - r :]
             self.vecs = basis.T
             z = np.concatenate(([rho], z))  # p* v / ||p|| = ||p||, p being orthogonal to U
-        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis.T, z, t, basis, self._merge)
+        self.lam[n - r :] = _rank_one_update(self.lam[n - r :], basis, z, t, self._merge)
 
 
-def _rank_one_update(
-    lam: np.ndarray, vecs: np.ndarray, z: np.ndarray, t: float, out: np.ndarray, merge
-):
-    """Eigenvalues of U diag(lam) U* + t vv* from lam, U = vecs and z = U* v.
+def _rank_one_update(lam: np.ndarray, rows: np.ndarray, z: np.ndarray, t: float, merge):
+    """Eigenvalues of U diag(lam) U* + t vv* from lam, rows = U^T and z = U* v.
 
-    U is n x k with orthonormal columns whose span holds v, and t > 0.
+    U is n x k with orthonormal columns whose span holds v, t > 0, and rows
+    is U^T, a C-contiguous k x n array, which the update rotates in place.
     With the diagonal phase D = diag(z/|z|) (1 where z_k = 0), the sum is
     (U D) (diag(lam) + w w^T) (U D)* with w = sqrt(t) |z|, whose middle
     factor is real symmetric.  _rank_one_eigh decomposes it into lam' and
     Q, in merge (a _Merge of order k or more; None below LAED_MIN_N), and
-    U' = (U D) Q, one real n x 2k product written into out, a C-contiguous
-    k x n array, as U'^T; out may be vecs^T itself, since the product reads
-    a scaled copy of U.  Returns lam', ascending.  z = 0 leaves lam and U
+    rows becomes U'^T = Q^T D rows, one real n x 2k product that reads a
+    scaled copy of rows.  Returns lam', ascending.  z = 0 leaves lam and U
     unchanged: the middle factor is then diag(lam), which the dense route
     decomposes exactly.  The same product carries the row projections: with
-    vecs = W^T, z = conj(W[:, j]) and out = W, it writes Q^T D W, the
-    projections on U' of the rows W projected on U.
+    rows = W and z = conj(W[:, j]), it writes Q^T D W, the projections on U'
+    of the rows W projected on U.
     """
     mod = np.abs(z)
     if mod.all():
@@ -954,10 +951,10 @@ def _rank_one_update(
         zero = mod == 0.0
         phase = (z + zero) / (mod + zero)  # 1 where z_k = 0
     lam_new, q = _rank_one_eigh(lam, math.sqrt(t) * mod, merge)
-    # U' = (U D) Q, transposed: each row of (U D)^T read as floats interleaves
-    # real and imaginary parts, which Q^T leaves apart.
-    rotated = np.ascontiguousarray((vecs * phase).T)
-    np.matmul(q.T, rotated.view(np.float64), out=out.view(np.float64))
+    # U'^T = Q^T (D rows): each row of D rows read as floats interleaves real
+    # and imaginary parts, which Q^T leaves apart.
+    rotated = rows * phase[:, None]
+    np.matmul(q.T, rotated.view(np.float64), out=rows.view(np.float64))
     return lam_new
 
 
@@ -1070,9 +1067,10 @@ def _laed_eigh(lam: np.ndarray, w: np.ndarray, merge: _Merge):
 
 
 def _pick(scores: np.ndarray, maximize: bool) -> int:
-    """Position of the first score within TIE_RTOL * |best| of the best; -1 if none."""
-    if scores.size == 0:
-        return -1
+    """Position of the first score within TIE_RTOL * |best| of the best.
+
+    Rows scored -inf (maximize) or inf never enter the band of a finite best.
+    """
     best = float(scores.max() if maximize else scores.min())
     tol = TIE_RTOL * abs(best)
     near = scores >= best - tol if maximize else scores <= best + tol

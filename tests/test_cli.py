@@ -258,6 +258,15 @@ class TestDuality:
         assert code == 0
         assert json.loads(out)["vacuous"] is True
 
+    def test_format_is_unrecognized(self, capsys):
+        # duality prints JSON only, so it declares no --format to ignore
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", "--spectrum", '{"m":4,"cells":[0,1]}', "--residues", "0,2",
+                  "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --format csv" in captured.err
+
 
 class TestExhaust:
     def test_csv_stages(self, capsys):
